@@ -14,11 +14,7 @@ import numpy as np
 
 from . import qmat
 from .channels import KrausChannel, apply_nonselective
-from .qmat import DimensionMismatchError, dagger
-
-
-def _tol(tol):
-    return qmat.tolerance() if tol is None else float(tol)
+from .qmat import DimensionMismatchError, _tol, dagger
 
 
 @dataclass(frozen=True)
@@ -127,15 +123,7 @@ def classical_broadcaster(basis, tol: float | None = None) -> KrausChannel:
     Measures in the basis and prepares two copies of the observed basis state:
     rho -> sum_i <i|rho|i> |i><i| x |i><i|. Trace preserving by construction.
     """
-    t = _tol(tol)
-    b = np.asarray(basis, dtype=complex)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise DimensionMismatchError(
-            f"basis must be square (one row per vector), got shape {b.shape}"
-        )
-    gram = np.conj(b) @ b.T
-    if qmat.frobenius_distance(gram, np.eye(b.shape[0])) > t * b.shape[0]:
-        raise ValueError("basis rows are not orthonormal")
+    b = qmat.require_orthonormal_basis(basis, tol)
     ops = []
     for i in range(b.shape[0]):
         v = b[i]

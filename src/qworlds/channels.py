@@ -9,16 +9,12 @@ outcome sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import qmat
-from .qmat import DimensionMismatchError, dagger
-
-
-def _tol(tol):
-    return qmat.tolerance() if tol is None else float(tol)
+from .qmat import DimensionMismatchError, _tol, dagger
 
 
 @dataclass(eq=False)
@@ -55,6 +51,18 @@ class KrausChannel:
         return qmat.frobenius_distance(total, np.eye(self.d_in)) <= _tol(tol) * self.d_in
 
 
+def _projectivity_defect(effects: tuple[np.ndarray, ...], t: float) -> str | None:
+    """Message naming the first non-idempotent effect or non-orthogonal pair, or None."""
+    dim = effects[0].shape[0]
+    for i, e in enumerate(effects):
+        if qmat.frobenius_distance(e @ e, e) > t * dim:
+            return f"projector {i} is not idempotent"
+        for j in range(i + 1, len(effects)):
+            if qmat.frobenius_distance(e @ effects[j]) > t * dim:
+                return f"projectors {i} and {j} are not orthogonal"
+    return None
+
+
 @dataclass(eq=False)
 class ProjectiveMeasurement:
     """Complete set of mutually orthogonal projectors."""
@@ -69,12 +77,9 @@ class ProjectiveMeasurement:
         dim = ps[0].shape[0]
         if any(p.shape != (dim, dim) for p in ps):
             raise DimensionMismatchError("projectors must share one dimension")
-        for i, p in enumerate(ps):
-            if qmat.frobenius_distance(p @ p, p) > t * dim:
-                raise ValueError(f"projector {i} is not idempotent")
-            for j in range(i + 1, len(ps)):
-                if qmat.frobenius_distance(p @ ps[j]) > t * dim:
-                    raise ValueError(f"projectors {i} and {j} are not orthogonal")
+        defect = _projectivity_defect(ps, t)
+        if defect is not None:
+            raise ValueError(defect)
         if qmat.frobenius_distance(sum(ps), np.eye(dim)) > t * dim:
             raise ValueError("projectors do not resolve the identity")
         self.projectors = ps
@@ -123,14 +128,7 @@ class GeneralizedMeasurement:
         return len(self.effects)
 
     def is_projective(self, tol: float | None = None) -> bool:
-        t = _tol(tol)
-        for i, e in enumerate(self.effects):
-            if qmat.frobenius_distance(e @ e, e) > t * self.dim:
-                return False
-            for j in range(i + 1, len(self.effects)):
-                if qmat.frobenius_distance(e @ self.effects[j]) > t * self.dim:
-                    return False
-        return True
+        return _projectivity_defect(self.effects, _tol(tol)) is None
 
 
 @dataclass(eq=False)
@@ -145,15 +143,7 @@ class DephasingChannel:
     strength: float
 
     def __post_init__(self):
-        b = np.asarray(self.basis, dtype=complex)
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise DimensionMismatchError(
-                f"basis must be square (one row per vector), got shape {b.shape}"
-            )
-        gram = np.conj(b) @ b.T
-        if qmat.frobenius_distance(gram, np.eye(b.shape[0])) > qmat.tolerance() * b.shape[0]:
-            raise ValueError("basis rows are not orthonormal")
-        self.basis = b
+        self.basis = qmat.require_orthonormal_basis(self.basis)
         self.strength = float(self.strength)
         if not 0.0 <= self.strength <= 1.0:
             raise ValueError(f"strength must lie in [0, 1], got {self.strength}")
@@ -289,10 +279,7 @@ def sample_outcome(m, rho, rng_seed: int, tol: float | None = None) -> tuple[int
     total = float(probs.sum())
     if abs(total - 1.0) > max(t, 1e-12) * len(effects):
         raise ValueError(f"outcome probabilities sum to {total}, not 1")
-    rng = np.random.default_rng(rng_seed)
-    draw = rng.random() * total
-    index = int(np.searchsorted(np.cumsum(probs), draw, side="right"))
-    index = min(index, len(effects) - 1)
+    index = qmat.sample_index(probs, np.random.default_rng(rng_seed))
     e = effects[index]
     p = probs[index]
     if p <= t:

@@ -30,7 +30,6 @@ import numpy as np
 from . import __version__, qmat
 from .algebra import CloneRefusal, broadcast_check, classical_broadcaster, clone_orthogonal_pair
 from .entangle import (
-    BipartiteState,
     SteeringExampleConfig,
     canonical_chsh_settings,
     chsh_score,
@@ -41,14 +40,7 @@ from .entangle import (
     steer,
     teleport,
 )
-from .protocols import (
-    EprAttack,
-    Honest,
-    bb84_scheme,
-    classical_scheme,
-    concealment_check,
-    run_commitment,
-)
+from .protocols import commitment_round, concealment_check
 from .worlds import World, evaluate_constraints
 
 SCENARIOS = ("steer", "teleport", "bitcommit", "constraints", "chsh", "broadcast")
@@ -182,38 +174,22 @@ def _run_teleport(req: ScenarioRequest, world: World) -> tuple[dict, dict]:
 
 
 def _run_bitcommit(req: ScenarioRequest, world: World) -> tuple[dict, dict]:
-    # honest runs use a scheme the world carries intact; the attack always
-    # targets the BB84-style reference scheme
-    honest_scheme = classical_scheme() if world.kind == "classical" else bb84_scheme()
-    attack_scheme = bb84_scheme()
-    rng = np.random.default_rng(req.seed)
-    honest = [
-        run_commitment(honest_scheme, Honest(bit), world, int(rng.integers(2**63))).acceptance_probability
-        for bit in (0, 1)
-    ]
-    attack_transcripts = [
-        run_commitment(attack_scheme, EprAttack(bit), world, int(rng.integers(2**63)))
-        for bit in (0, 1)
-    ]
-    attack = [t.acceptance_probability for t in attack_transcripts]
-    concealed, distance = concealment_check(attack_scheme, world)
-    min_attack = min(attack)
-    attack_succeeds = min_attack >= 1.0 - _FLAG_TOL
+    commit = commitment_round(world, np.random.default_rng(req.seed))
+    concealed, distance = concealment_check(commit.attack_scheme, world)
     results = {
-        "honest_scheme": "classical" if world.kind == "classical" else "bb84",
+        "honest_scheme": commit.honest_scheme_name,
         "attack_scheme": "bb84",
-        "honest_acceptance": honest,
-        "attack_acceptance": attack,
-        "min_attack_acceptance": min_attack,
+        "honest_acceptance": commit.honest_acceptance,
+        "attack_acceptance": commit.attack_acceptance,
+        "min_attack_acceptance": min(commit.attack_acceptance),
         "concealment_distance": distance,
-        "attack_succeeds": attack_succeeds,
-        "attack_transcripts": [t.to_dict() for t in attack_transcripts],
+        "attack_succeeds": commit.attack_succeeds,
+        "attack_transcripts": [t.to_dict() for t in commit.attack_transcripts],
     }
-    expected_success = _expect_quantum_like(world)
     flags = {
-        "honest_acceptance_unity": all(abs(a - 1.0) <= _FLAG_TOL for a in honest),
+        "honest_acceptance_unity": all(abs(a - 1.0) <= _FLAG_TOL for a in commit.honest_acceptance),
         "concealing": bool(concealed),
-        "attack_matches_world_expectation": attack_succeeds == expected_success,
+        "attack_matches_world_expectation": commit.attack_succeeds == _expect_quantum_like(world),
     }
     return results, flags
 
@@ -302,12 +278,13 @@ def run_scenario(req: ScenarioRequest) -> ScenarioReport:
         raise InvalidParameterError(f"unknown scenario {req.scenario!r}")
     if not (req.tol > 0.0 and np.isfinite(req.tol)):
         raise InvalidParameterError(f"tolerance must be positive and finite, got {req.tol}")
+    caller_tol = qmat.tolerance()
     qmat.set_tolerance(req.tol)
     try:
         world = _world_of(req)
         results, flags = _RUNNERS[req.scenario](req, world)
     finally:
-        qmat.set_tolerance(qmat.DEFAULT_TOL)
+        qmat.set_tolerance(caller_tol)
     params = {
         "world": req.world_kind,
         "lambda": req.strength if req.world_kind == "dephased" else None,
@@ -375,9 +352,6 @@ def main(argv: list[str] | None = None) -> int:
             out_path=args.out,
         )
         report = run_scenario(req)
-    except InvalidParameterError as exc:
-        print(f"qworlds: invalid parameter: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
     except ValueError as exc:
         print(f"qworlds: invalid parameter: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS

@@ -12,13 +12,9 @@ import numpy as np
 
 from . import qmat
 from .channels import GeneralizedMeasurement, ProjectiveMeasurement
-from .qmat import DimensionMismatchError, dagger
+from .qmat import DimensionMismatchError, _tol, dagger
 
 _RANK_CUTOFF = 1e-12  # spectral weight below which a branch counts as absent
-
-
-def _tol(tol):
-    return qmat.tolerance() if tol is None else float(tol)
 
 
 class AverageMismatchError(ValueError):
@@ -77,13 +73,9 @@ class SchmidtDecomposition:
             raise ValueError("coefficients must be nonnegative and descending")
         if abs(float(np.sum(c**2)) - 1.0) > t:
             raise ValueError(f"squared coefficients sum to {float(np.sum(c ** 2))}, not 1")
-        a = np.asarray(self.a_basis, dtype=complex)
-        b = np.asarray(self.b_basis, dtype=complex)
-        for name, basis in (("a_basis", a), ("b_basis", b)):
-            gram = np.conj(basis) @ basis.T
-            if qmat.frobenius_distance(gram, np.eye(basis.shape[0])) > t * basis.shape[0]:
-                raise ValueError(f"{name} rows are not orthonormal")
-        self.coefficients, self.a_basis, self.b_basis = c, a, b
+        self.coefficients = c
+        self.a_basis = qmat.require_orthonormal_rows(self.a_basis, t, "a_basis")
+        self.b_basis = qmat.require_orthonormal_rows(self.b_basis, t, "b_basis")
 
     @property
     def rank(self) -> int:
@@ -182,8 +174,7 @@ def bell_measurement() -> ProjectiveMeasurement:
 
 
 def singlet_vector() -> np.ndarray:
-    s = 1.0 / np.sqrt(2.0)
-    return np.array([0, s, -s, 0], dtype=complex)
+    return bell_basis()[0]
 
 
 def epr_singlet() -> BipartiteState:
@@ -309,12 +300,14 @@ def hjw_steering_measurement(
     return GeneralizedMeasurement(tuple(effects))
 
 
-def steer(state: BipartiteState, measurement, tol: float | None = None) -> Ensemble:
-    """Apply a measurement on side A and collect Bob's conditional states.
+def steered_branches(
+    state: BipartiteState, measurement, tol: float | None = None
+) -> list[tuple[float, np.ndarray | None]]:
+    """Outcome probability and Bob's conditional state for every effect, in order.
 
     Outcome i occurs with p_i = trace((E_i x I) rho) and leaves B in
-    Tr_A[(E_i x I) rho] / p_i. Branches with probability below tolerance are
-    dropped and the remaining probabilities renormalized.
+    Tr_A[(E_i x I) rho] / p_i. A branch with probability below tolerance keeps
+    its index with probability max(p_i, 0) and conditional None.
     """
     t = _tol(tol)
     effects = measurement.effects
@@ -323,19 +316,28 @@ def steer(state: BipartiteState, measurement, tol: float | None = None) -> Ensem
         raise DimensionMismatchError(
             f"measurement dim {effects[0].shape[0]} does not match side A dim {da}"
         )
-    probs, members = [], []
     eye_b = np.eye(db, dtype=complex)
+    branches = []
     for e in effects:
         joint = np.kron(e, eye_b) @ state.rho
         p = float(np.real(np.trace(joint)))
         if p <= t:
+            branches.append((max(p, 0.0), None))
             continue
         cond = qmat.partial_trace(joint, (da, db), "B") / p
-        cond = (cond + dagger(cond)) / 2.0
-        probs.append(p)
-        members.append(cond)
-    probs = np.asarray(probs, dtype=float)
-    return Ensemble(probs / probs.sum(), tuple(members))
+        branches.append((p, (cond + dagger(cond)) / 2.0))
+    return branches
+
+
+def steer(state: BipartiteState, measurement, tol: float | None = None) -> Ensemble:
+    """Apply a measurement on side A and collect Bob's conditional states.
+
+    Branches with probability below tolerance (see `steered_branches`) are
+    dropped and the remaining probabilities renormalized.
+    """
+    kept = [(p, cond) for p, cond in steered_branches(state, measurement, tol) if cond is not None]
+    probs = np.array([p for p, _ in kept], dtype=float)
+    return Ensemble(probs / probs.sum(), tuple(cond for _, cond in kept))
 
 
 @dataclass(frozen=True)
@@ -391,10 +393,7 @@ def teleport(
         if probs[idx] <= t:
             raise ValueError(f"forced outcome {outcome} has vanishing probability")
     else:
-        rng = np.random.default_rng(rng_seed)
-        draw = rng.random() * probs.sum()
-        idx = int(np.searchsorted(np.cumsum(probs), draw, side="right"))
-        idx = min(idx, 3)
+        idx = qmat.sample_index(probs, np.random.default_rng(rng_seed))
     post = branch_projs[idx] @ joint @ branch_projs[idx] / probs[idx]
     bob = qmat.partial_trace(post, (4, 2), "B")
     c = table[idx]

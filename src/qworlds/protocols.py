@@ -25,12 +25,13 @@ from .entangle import (
     hjw_steering_measurement,
     purify,
     pure_vector,
+    steered_branches,
 )
-from .qmat import DimensionMismatchError, dagger
+from .qmat import DimensionMismatchError, _tol, dagger
 
-
-def _tol(tol):
-    return qmat.tolerance() if tol is None else float(tol)
+# threshold separating a numerically-zero witness from a genuine violation;
+# an EPR attack succeeds when its acceptance is 1 within this edge
+REPORT_EDGE = 1e-10
 
 
 @dataclass(eq=False)
@@ -43,9 +44,8 @@ class CommitmentScheme:
     def __post_init__(self):
         if self.ensemble_0.dim != self.ensemble_1.dim:
             raise DimensionMismatchError("both ensembles must live on Bob's space")
-        for bit, ens in ((0, self.ensemble_0), (1, self.ensemble_1)):
-            for i, member in enumerate(ens.members):
-                pure_vector(member)  # raises if not rank 1
+        for member in self.ensemble_0.members + self.ensemble_1.members:
+            pure_vector(member)  # raises if not rank 1
 
     @property
     def dim(self) -> int:
@@ -155,22 +155,6 @@ def concealment_check(scheme: CommitmentScheme, world, tol: float | None = None)
     return ConcealmentCheck(distance <= t * scheme.dim, distance)
 
 
-def _steered_branches(state: BipartiteState, measurement) -> list[tuple[float, np.ndarray | None]]:
-    """Per-effect outcome probability and Bob conditional, preserving indices."""
-    da, db = state.dims
-    eye_b = np.eye(db, dtype=complex)
-    branches = []
-    for e in measurement.effects:
-        joint = np.kron(e, eye_b) @ state.rho
-        p = float(np.real(np.trace(joint)))
-        if p <= qmat.tolerance():
-            branches.append((max(p, 0.0), None))
-            continue
-        cond = qmat.partial_trace(joint, (da, db), "B") / p
-        branches.append((p, (cond + dagger(cond)) / 2.0))
-    return branches
-
-
 def run_commitment(scheme: CommitmentScheme, strategy, world, rng_seed: int) -> ProtocolTranscript:
     """Execute one commitment round and return its transcript.
 
@@ -215,7 +199,7 @@ def run_commitment(scheme: CommitmentScheme, strategy, world, rng_seed: int) -> 
                 f"world transformation moved Bob's marginal off the target average by {gap}"
             )
         measurement = hjw_steering_measurement(psi, (d, d), target)
-        branches = _steered_branches(separated, measurement)
+        branches = steered_branches(separated, measurement, t)
         n_targets = len(target.members)
         fidelities = []
         for j, (p, cond) in enumerate(branches):
@@ -226,9 +210,7 @@ def run_commitment(scheme: CommitmentScheme, strategy, world, rng_seed: int) -> 
             fidelities.append(float(np.real(np.trace(claimed @ cond))))
         probs = np.array([p for p, _ in branches])
         acceptance = float(np.dot(probs, fidelities) / probs.sum())
-        draw = rng.random() * probs.sum()
-        index = int(np.searchsorted(np.cumsum(probs), draw, side="right"))
-        index = min(index, len(branches) - 1)
+        index = qmat.sample_index(probs, rng)
         accept = bool(rng.random() < fidelities[index])
         return ProtocolTranscript(
             rng_seed=rng_seed,
@@ -240,6 +222,43 @@ def run_commitment(scheme: CommitmentScheme, strategy, world, rng_seed: int) -> 
         )
 
     raise TypeError(f"unknown strategy {type(strategy).__name__}")
+
+
+class CommitmentRound(NamedTuple):
+    """Schemes, acceptance probabilities and attack verdict of one `commitment_round`."""
+
+    honest_scheme: CommitmentScheme
+    honest_scheme_name: str
+    attack_scheme: CommitmentScheme
+    honest_acceptance: list[float]
+    attack_transcripts: list[ProtocolTranscript]
+    attack_acceptance: list[float]
+    attack_succeeds: bool
+
+
+def commitment_round(world, rng: np.random.Generator) -> CommitmentRound:
+    """Run bits 0 and 1 honestly, then as the EPR attack, each seeded by `rng.integers(2**63)`.
+
+    Honest runs use a scheme the world carries intact (classical in the
+    classical world, else BB84); the attack always targets BB84. It succeeds
+    when both unveilings are accepted with probability 1 within REPORT_EDGE.
+    """
+    attack_scheme = bb84_scheme()
+    honest_name = "classical" if world.kind == "classical" else "bb84"
+    honest_scheme = classical_scheme() if honest_name == "classical" else attack_scheme
+    honest = [
+        run_commitment(honest_scheme, Honest(bit), world, int(rng.integers(2**63))).acceptance_probability
+        for bit in (0, 1)
+    ]
+    transcripts = [
+        run_commitment(attack_scheme, EprAttack(bit), world, int(rng.integers(2**63)))
+        for bit in (0, 1)
+    ]
+    attack = [t.acceptance_probability for t in transcripts]
+    return CommitmentRound(
+        honest_scheme, honest_name, attack_scheme, honest, transcripts, attack,
+        min(attack) >= 1.0 - REPORT_EDGE,
+    )
 
 
 def point_mass_distribution(ensemble: Ensemble, algebra: BlockAlgebra, tol: float | None = None) -> np.ndarray:
@@ -310,7 +329,7 @@ def selective_steering_contrast(state: BipartiteState, measurement, tol: float |
     """Largest Frobenius distance of any steered conditional from Bob's marginal."""
     marginal = state.marginal_b()
     contrast = 0.0
-    for p, cond in _steered_branches(state, measurement):
+    for p, cond in steered_branches(state, measurement, tol):
         if cond is None:
             continue
         contrast = max(contrast, qmat.frobenius_distance(cond, marginal))

@@ -183,6 +183,31 @@ def fidelity_to_vector(v, rho) -> float:
     return float(np.real(np.conj(v) @ np.asarray(rho, dtype=complex) @ v))
 
 
+def require_orthonormal_rows(basis, tol: float | None = None, name: str = "basis") -> np.ndarray:
+    """Coerce to a complex array whose rows are orthonormal within tolerance."""
+    b = np.asarray(basis, dtype=complex)
+    gram = np.conj(b) @ b.T
+    if frobenius_distance(gram, np.eye(b.shape[0])) > _tol(tol) * b.shape[0]:
+        raise ValueError(f"{name} rows are not orthonormal")
+    return b
+
+
+def require_orthonormal_basis(basis, tol: float | None = None) -> np.ndarray:
+    """Coerce to a square complex matrix whose rows form an orthonormal basis."""
+    b = np.asarray(basis, dtype=complex)
+    if b.ndim != 2 or b.shape[0] != b.shape[1]:
+        raise DimensionMismatchError(f"basis must be square (one row per vector), got shape {b.shape}")
+    return require_orthonormal_rows(b, tol)
+
+
+def sample_index(weights, rng: np.random.Generator) -> int:
+    """Index drawn with probability proportional to `weights`, from one `rng.random()`."""
+    weights = np.asarray(weights, dtype=float)
+    draw = rng.random() * weights.sum()
+    index = int(np.searchsorted(np.cumsum(weights), draw, side="right"))
+    return min(index, weights.size - 1)
+
+
 def vectors_match(u, v, tol: float | None = None) -> bool:
     """Equality up to global phase: |<u|v>| = 1 within tolerance."""
     u = np.asarray(u, dtype=complex).reshape(-1)

@@ -18,21 +18,9 @@ from . import qmat
 from .algebra import BlockAlgebra, broadcast_check, classical_broadcaster
 from .channels import DephasingChannel, KrausChannel, dephase
 from .entangle import BipartiteState, purify
-from .protocols import (
-    CommitmentScheme,
-    EprAttack,
-    Honest,
-    bb84_scheme,
-    classical_scheme,
-    classical_unique_decomposition,
-    no_signaling_trial,
-    run_commitment,
-)
+from .protocols import REPORT_EDGE, classical_unique_decomposition, commitment_round, no_signaling_trial
 
 _WORLD_KINDS = ("classical", "quantum", "dephased")
-
-# threshold separating a numerically-zero witness from a genuine violation
-_REPORT_EDGE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -73,8 +61,7 @@ class World:
         """
         _, va = qmat.eigh(state.marginal_a())
         _, vb = qmat.eigh(state.marginal_b())
-        rows_a, rows_b = va.T, vb.T
-        return np.array([np.kron(a, b) for a in rows_a for b in rows_b])
+        return np.kron(va.T, vb.T)
 
     def separate(self, state: BipartiteState) -> BipartiteState:
         """Transform a shared pair as the world's separation process dictates.
@@ -145,10 +132,6 @@ def _random_channel(rng: np.random.Generator, d: int, n_kraus: int) -> KrausChan
     return KrausChannel(tuple(q[i * d : (i + 1) * d, :] for i in range(n_kraus)))
 
 
-def _commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
-    return qmat.frobenius_distance(a @ b, b @ a)
-
-
 def _signaling_battery(world: World, rng: np.random.Generator) -> tuple[bool, dict]:
     max_dist = 0.0
     trials = 0
@@ -160,7 +143,7 @@ def _signaling_battery(world: World, rng: np.random.Generator) -> tuple[bool, di
             max_dist = max(max_dist, no_signaling_trial(state, channel))
             trials += 1
     witness = {"trials": trials, "max_marginal_distance": max_dist, "dims": [[2, 2], [2, 3]]}
-    return max_dist > _REPORT_EDGE, witness
+    return max_dist > REPORT_EDGE, witness
 
 
 def _broadcasting_battery(world: World, rng: np.random.Generator) -> tuple[bool, dict]:
@@ -197,7 +180,7 @@ def _broadcasting_battery(world: World, rng: np.random.Generator) -> tuple[bool,
     while tested < 5:
         rho = _random_density(rng, d)
         sigma = _random_density(rng, d)
-        if _commutator_norm(rho, sigma) <= 0.1:
+        if qmat.frobenius_distance(rho @ sigma, sigma @ rho) <= 0.1:
             continue
         tested += 1
         _, v = qmat.eigh(rho)
@@ -227,44 +210,26 @@ def _complex_rows(mat: np.ndarray, digits: int = 12) -> list:
 
 
 def _commitment_battery(world: World, rng: np.random.Generator) -> tuple[bool, dict]:
-    # honest runs need a scheme whose members the world can carry intact;
-    # the EPR attack targets the reference BB84-style scheme in every world
-    honest_scheme: CommitmentScheme = (
-        classical_scheme() if world.kind == "classical" else bb84_scheme()
-    )
-    attack_scheme = bb84_scheme()
-    honest = []
-    for bit in (0, 1):
-        t = run_commitment(honest_scheme, Honest(bit), world, rng_seed=int(rng.integers(2**63)))
-        honest.append(t.acceptance_probability)
-    attack = []
-    for bit in (0, 1):
-        t = run_commitment(attack_scheme, EprAttack(bit), world, rng_seed=int(rng.integers(2**63)))
-        attack.append(t.acceptance_probability)
-    min_acceptance = min(attack)
-    succeeds = min_acceptance >= 1.0 - _REPORT_EDGE
+    commit = commitment_round(world, rng)
     witness = {
         "attack_scheme": "bb84",
-        "honest_scheme": "classical" if world.kind == "classical" else "bb84",
-        "honest_acceptance": honest,
-        "acceptance_by_bit": attack,
-        "min_acceptance": min_acceptance,
+        "honest_scheme": commit.honest_scheme_name,
+        "honest_acceptance": commit.honest_acceptance,
+        "acceptance_by_bit": commit.attack_acceptance,
+        "min_acceptance": min(commit.attack_acceptance),
     }
     if world.kind == "classical":
-        algebra = BlockAlgebra((1,) * honest_scheme.dim)
+        scheme = commit.honest_scheme
+        algebra = BlockAlgebra((1,) * scheme.dim)
         witness["unique_decomposition_identical"] = bool(
-            classical_unique_decomposition(
-                honest_scheme.ensemble_0, honest_scheme.ensemble_1, algebra
-            )
+            classical_unique_decomposition(scheme.ensemble_0, scheme.ensemble_1, algebra)
         )
     if world.kind == "dephased" and world.strength > 0.0:
-        omega = attack_scheme.average()
-        state = BipartiteState(
-            qmat.projector(purify(omega, attack_scheme.dim)),
-            (attack_scheme.dim, attack_scheme.dim),
-        )
+        d = commit.attack_scheme.dim
+        psi = purify(commit.attack_scheme.average(), d)
+        state = BipartiteState(qmat.projector(psi), (d, d))
         witness["dephasing_basis"] = _complex_rows(world.separation_basis(state))
-    return succeeds, witness
+    return commit.attack_succeeds, witness
 
 
 def evaluate_constraints(world: World, rng_seed: int = 7) -> ConstraintReport:

@@ -88,6 +88,13 @@ def test_tolerance_threading(monkeypatch, capsys):
     assert report.params["tol"] == 1e-7
     assert qmat.tolerance() == qmat.DEFAULT_TOL  # restored after the run
 
+    qmat.set_tolerance(1e-6)
+    try:
+        run_scenario(ScenarioRequest(scenario="chsh"))
+        assert qmat.tolerance() == 1e-6  # the caller's value, not the default
+    finally:
+        qmat.set_tolerance(qmat.DEFAULT_TOL)
+
     monkeypatch.setenv("QWORLDS_TOL", "1e-8")
     assert main(["chsh"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -102,3 +109,14 @@ def test_every_scenario_passes_in_quantum_world():
         report = run_scenario(ScenarioRequest(scenario=scenario, seed=4, trials=60))
         assert report.all_flags_pass(), (scenario, report.flags)
         report.render()  # must be JSON-serializable
+
+
+def test_bitcommit_and_constraints_agree_at_the_report_edge(capsys):
+    # at lambda = 1e-9 the attack acceptance sits between 1 - 1e-9 and 1 - 1e-10
+    argv = ["--world", "dephased", "--lambda", "1e-9", "--seed", "0"]
+    assert main(["bitcommit"] + argv) == 0
+    bitcommit = json.loads(capsys.readouterr().out)["results"]
+    assert main(["constraints"] + argv) == 0
+    constraints = json.loads(capsys.readouterr().out)["results"]
+    assert bitcommit["attack_succeeds"] is False
+    assert constraints["steering_attack"]["succeeds"] is False
