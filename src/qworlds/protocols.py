@@ -10,7 +10,7 @@ member, which makes honest acceptance exactly 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -34,12 +34,20 @@ from .qmat import DimensionMismatchError, _tol, dagger
 REPORT_EDGE = 1e-10
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CommitmentScheme:
-    """Bit encodings: one pure-state ensemble per bit, over Bob's space."""
+    """Bit encodings: one pure-state ensemble per bit, over Bob's space.
+
+    Immutable: the ensembles are validated once, at construction, and never
+    re-validated. The EPR attack's purification of the average and its
+    per-bit steering measurements depend only on the scheme and τ, so each
+    scheme builds them once and keeps those of the latest τ.
+    """
 
     ensemble_0: Ensemble
     ensemble_1: Ensemble
+    # "tol", "psi" and "pair" for the latest τ, plus one steering measurement per bit key
+    _epr_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ensemble_0.dim != self.ensemble_1.dim:
@@ -63,6 +71,24 @@ class CommitmentScheme:
     def is_concealing(self, tol: float | None = None) -> bool:
         gap = qmat.frobenius_distance(self.ensemble_0.average(), self.ensemble_1.average())
         return gap <= _tol(tol) * self.dim
+
+    def _epr_pair(self, t: float) -> BipartiteState:
+        """Pair state of the purified average at τ = t, built once per t."""
+        memo = self._epr_memo
+        if memo.get("tol") != t:
+            memo.clear()
+            d = self.dim
+            psi = purify(self.average(), d, t)
+            memo.update(psi=psi, pair=BipartiteState(qmat.projector(psi), (d, d)), tol=t)
+        return memo["pair"]
+
+    def _steering_measurement(self, bit: int, t: float):
+        """HJW measurement steering Bob into ensemble `bit`; call `_epr_pair(t)` first."""
+        memo = self._epr_memo
+        if bit not in memo:
+            d = self.dim
+            memo[bit] = hjw_steering_measurement(memo["psi"], (d, d), self.ensemble(bit), t)
+        return memo[bit]
 
 
 def bb84_scheme() -> CommitmentScheme:
@@ -188,17 +214,15 @@ def run_commitment(scheme: CommitmentScheme, strategy, world, rng_seed: int) -> 
         )
 
     if isinstance(strategy, EprAttack):
-        omega = scheme.average()
         d = scheme.dim
-        psi = purify(omega, d)
-        separated = world.separate(BipartiteState(qmat.projector(psi), (d, d)))
+        separated = world.separate(scheme._epr_pair(t))
         target = scheme.ensemble(strategy.unveil_bit)
         gap = qmat.frobenius_distance(target.average(), separated.marginal_b())
         if gap > max(t, 1e-7):
             raise AverageMismatchError(
                 f"world transformation moved Bob's marginal off the target average by {gap}"
             )
-        measurement = hjw_steering_measurement(psi, (d, d), target)
+        measurement = scheme._steering_measurement(strategy.unveil_bit, t)
         branches = steered_branches(separated, measurement, t)
         n_targets = len(target.members)
         fidelities = []

@@ -7,12 +7,15 @@ from qworlds import qmat
 from qworlds.cli import (
     EXIT_BAD_PARAMS,
     EXIT_FLAGS_FAILED,
+    EXIT_NUMERICAL,
     EXIT_UNWRITABLE,
     InvalidParameterError,
+    NumericalBreakdownError,
     ScenarioRequest,
     main,
     run_scenario,
 )
+from qworlds.protocols import REPORT_EDGE
 
 
 def test_unknown_scenario_rejected():
@@ -120,3 +123,38 @@ def test_bitcommit_and_constraints_agree_at_the_report_edge(capsys):
     constraints = json.loads(capsys.readouterr().out)["results"]
     assert bitcommit["attack_succeeds"] is False
     assert constraints["steering_attack"]["succeeds"] is False
+
+
+def test_numerical_breakdown_has_its_own_exit_code(capsys):
+    # roundoff trips the trace-preservation check at tol 1e-15: not bad input
+    assert main(["constraints", "--tol", "1e-15"]) == EXIT_NUMERICAL
+    assert "1e-15" in capsys.readouterr().err
+    with pytest.raises(NumericalBreakdownError):
+        run_scenario(ScenarioRequest(scenario="constraints", tol=1e-15))
+    assert qmat.tolerance() == qmat.DEFAULT_TOL  # restored after the failed run
+
+    # a negative seed is rejected up front, before numpy sees it
+    assert main(["teleport", "--seed", "-1"]) == EXIT_BAD_PARAMS
+    with pytest.raises(InvalidParameterError):
+        run_scenario(ScenarioRequest(scenario="bitcommit", seed=-1))
+
+
+def test_expectations_follow_the_closed_forms_in_lambda(capsys):
+    # attack acceptance is 1 - lambda/2 and the singlet's |CHSH| is
+    # 2*sqrt(2)*(1 - lambda/2) for every lambda, with no step at lambda = 0
+    rng = np.random.default_rng(2024)
+    lambdas = [0.0, 1.0, 1e-10, 1e-9] + [float(10.0**x) for x in rng.uniform(-300.0, 0.0, size=16)]
+    # at lambda = 2 * REPORT_EDGE the attack verdict is decided by roundoff
+    edge = 2.0 * REPORT_EDGE
+    lambdas = [lam for lam in lambdas if abs(lam - edge) > 1e-3 * edge]
+    tsirelson = 2.0 * np.sqrt(2.0)
+    for lam in lambdas:
+        argv = ["--world", "dephased", "--lambda", repr(lam), "--seed", "0"]
+        docs = {}
+        for scenario in ("bitcommit", "constraints", "chsh"):
+            assert main([scenario] + argv) == 0, (scenario, lam)
+            docs[scenario] = json.loads(capsys.readouterr().out)["results"]
+        expected = 1.0 - lam / 2.0
+        assert abs(docs["bitcommit"]["min_attack_acceptance"] - expected) <= 1e-12, lam
+        assert abs(docs["constraints"]["steering_attack"]["min_acceptance"] - expected) <= 1e-12, lam
+        assert abs(docs["chsh"]["abs_score"] - tsirelson * expected) <= 1e-12, lam

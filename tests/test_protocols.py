@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from qworlds import qmat
+from qworlds import protocols, qmat
 from qworlds.algebra import BlockAlgebra
 from qworlds.channels import KrausChannel, ProjectiveMeasurement, luders_channel, unitary_channel
 from qworlds.entangle import BipartiteState, Ensemble, epr_singlet, purify
@@ -243,3 +245,59 @@ def test_transcript_invariants():
     t = ProtocolTranscript(rng_seed=0, commit_description="x")
     assert t.phases() == ("commit", "hold")
     assert "open" not in t.to_dict()
+
+
+MEMO_WORLDS = (
+    World.quantum(), World.dephased(0.0), World.dephased(0.3), World.dephased(1.0), World.classical()
+)
+
+
+def test_reused_scheme_matches_fresh_schemes():
+    reused = bb84_scheme()
+    for world in MEMO_WORLDS:
+        for bit in (0, 1):
+            for seed in (0, 7, 2**40 + 3):
+                warm = run_commitment(reused, EprAttack(bit), world, seed)
+                cold = run_commitment(bb84_scheme(), EprAttack(bit), world, seed)
+                assert warm.to_dict() == cold.to_dict()
+                assert warm.acceptance_probability == cold.acceptance_probability
+
+
+def test_epr_setup_is_built_once_per_scheme_bit_and_tolerance(monkeypatch):
+    counts = {"purify": 0, "hjw": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(protocols, "purify", counting("purify", protocols.purify))
+    monkeypatch.setattr(
+        protocols, "hjw_steering_measurement", counting("hjw", protocols.hjw_steering_measurement)
+    )
+    schemes = (bb84_scheme(), bb84_scheme())
+
+    def run_ten():
+        for k in range(10):
+            world = MEMO_WORLDS[k % len(MEMO_WORLDS)]
+            for scheme in schemes:
+                run_commitment(scheme, EprAttack(k % 2), world, k)
+
+    run_ten()
+    assert counts == {"purify": 2, "hjw": 4}  # one pair per scheme, one measurement per (scheme, bit)
+    caller_tol = qmat.tolerance()
+    try:
+        qmat.set_tolerance(1e-8)
+        run_ten()
+        assert counts == {"purify": 4, "hjw": 8}  # a new tolerance builds once more
+    finally:
+        qmat.set_tolerance(caller_tol)
+    run_ten()
+    assert counts == {"purify": 6, "hjw": 12}  # only the latest tolerance is kept
+
+
+def test_commitment_scheme_is_frozen():
+    scheme = bb84_scheme()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scheme.ensemble_0 = scheme.ensemble_1
