@@ -106,11 +106,13 @@ class ScenarioReport:
 
 
 def _validate(req: ScenarioRequest) -> World:
-    """Reject every out-of-range request parameter; return the request's world."""
+    """Reject every out-of-range request parameter; return the request's world.
+
+    Runs with τ already set to `req.tol`, so tolerance-dependent checks
+    (the steering amplitudes) judge the input at the requested tolerance.
+    """
     if req.scenario not in _RUNNERS:
         raise InvalidParameterError(f"unknown scenario {req.scenario!r}")
-    if not (req.tol > 0.0 and np.isfinite(req.tol)):
-        raise InvalidParameterError(f"tolerance must be positive and finite, got {req.tol}")
     if req.seed < 0:
         raise InvalidParameterError(f"seed must be nonnegative, got {req.seed}")
     if req.scenario == "steer":
@@ -292,13 +294,16 @@ def run_scenario(req: ScenarioRequest) -> ScenarioReport:
     the run raises after that is a numerical breakdown at the request's
     tolerance and is re-raised as NumericalBreakdownError.
     """
-    world = _validate(req)
+    if not (req.tol > 0.0 and np.isfinite(req.tol)):
+        raise InvalidParameterError(f"tolerance must be positive and finite, got {req.tol}")
     caller_tol = qmat.tolerance()
     qmat.set_tolerance(req.tol)
     try:
-        results, flags = _RUNNERS[req.scenario](req, world)
-    except ValueError as exc:
-        raise NumericalBreakdownError(f"at tolerance {req.tol}: {exc}") from exc
+        world = _validate(req)
+        try:
+            results, flags = _RUNNERS[req.scenario](req, world)
+        except ValueError as exc:
+            raise NumericalBreakdownError(f"at tolerance {req.tol}: {exc}") from exc
     finally:
         qmat.set_tolerance(caller_tol)
     params = {

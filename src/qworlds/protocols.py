@@ -46,7 +46,7 @@ class CommitmentScheme:
 
     ensemble_0: Ensemble
     ensemble_1: Ensemble
-    # "tol", "psi" and "pair" for the latest τ, plus one steering measurement per bit key
+    # τ -> {"psi": purification, "pair": its state, "hjw": {bit: measurement}}; latest τ only
     _epr_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -72,23 +72,31 @@ class CommitmentScheme:
         gap = qmat.frobenius_distance(self.ensemble_0.average(), self.ensemble_1.average())
         return gap <= _tol(tol) * self.dim
 
-    def _epr_pair(self, t: float) -> BipartiteState:
-        """Pair state of the purified average at τ = t, built once per t."""
-        memo = self._epr_memo
-        if memo.get("tol") != t:
-            memo.clear()
+    def _epr_setup(self, t: float) -> dict:
+        """The EPR-attack entries at τ = t, replacing those of any other τ."""
+        if t not in self._epr_memo:
+            self._epr_memo.clear()
             d = self.dim
             psi = purify(self.average(), d, t)
-            memo.update(psi=psi, pair=BipartiteState(qmat.projector(psi), (d, d)), tol=t)
-        return memo["pair"]
+            self._epr_memo[t] = {
+                "psi": psi,
+                "pair": BipartiteState(qmat.projector(psi), (d, d)),
+                "hjw": {},
+            }
+        return self._epr_memo[t]
+
+    def _epr_pair(self, t: float) -> BipartiteState:
+        """Pair state of the purified average at τ = t, built once per t."""
+        return self._epr_setup(t)["pair"]
 
     def _steering_measurement(self, bit: int, t: float):
-        """HJW measurement steering Bob into ensemble `bit`; call `_epr_pair(t)` first."""
-        memo = self._epr_memo
-        if bit not in memo:
+        """HJW measurement steering Bob into ensemble `bit` at τ = t, built once per (bit, t)."""
+        setup = self._epr_setup(t)
+        measurements = setup["hjw"]
+        if bit not in measurements:
             d = self.dim
-            memo[bit] = hjw_steering_measurement(memo["psi"], (d, d), self.ensemble(bit), t)
-        return memo[bit]
+            measurements[bit] = hjw_steering_measurement(setup["psi"], (d, d), self.ensemble(bit), t)
+        return measurements[bit]
 
 
 def bb84_scheme() -> CommitmentScheme:

@@ -17,7 +17,7 @@ import numpy as np
 from . import qmat
 from .algebra import BlockAlgebra, broadcast_check, classical_broadcaster
 from .channels import DephasingChannel, KrausChannel, dephase
-from .entangle import BipartiteState, purify
+from .entangle import BipartiteState
 from .protocols import REPORT_EDGE, classical_unique_decomposition, commitment_round, no_signaling_trial
 
 _WORLD_KINDS = ("classical", "quantum", "dephased")
@@ -225,9 +225,7 @@ def _commitment_battery(world: World, rng: np.random.Generator) -> tuple[bool, d
             classical_unique_decomposition(scheme.ensemble_0, scheme.ensemble_1, algebra)
         )
     if world.kind == "dephased" and world.strength > 0.0:
-        d = commit.attack_scheme.dim
-        psi = purify(commit.attack_scheme.average(), d)
-        state = BipartiteState(qmat.projector(psi), (d, d))
+        state = commit.attack_scheme._epr_pair(qmat.tolerance())  # the pair the attack used
         witness["dephasing_basis"] = _complex_rows(world.separation_basis(state))
     return commit.attack_succeeds, witness
 

@@ -139,6 +139,19 @@ def test_numerical_breakdown_has_its_own_exit_code(capsys):
         run_scenario(ScenarioRequest(scenario="bitcommit", seed=-1))
 
 
+def test_steer_amplitudes_are_judged_at_the_requested_tolerance(capsys):
+    # |alpha^2 + beta^2 - 1| = 1.6e-5: inside --tol 1e-3, so the run goes ahead
+    # (its fidelity flags then fail, since each fidelity is 1 + 1.6e-5)
+    assert main(["steer", "--alpha", "0.6", "--beta", "0.80001", "--tol", "1e-3"]) == EXIT_FLAGS_FAILED
+    capsys.readouterr()
+    # a gap of 1.6e-10 passes the default 1e-9 but is bad input at --tol 1e-12
+    assert main(["steer", "--alpha", "0.6", "--beta", "0.8000000001", "--tol", "1e-12"]) == EXIT_BAD_PARAMS
+    assert "invalid parameter" in capsys.readouterr().err
+    with pytest.raises(InvalidParameterError):
+        run_scenario(ScenarioRequest(scenario="steer", beta=0.8000000001, tol=1e-12))
+    assert qmat.tolerance() == qmat.DEFAULT_TOL  # restored after the rejected request
+
+
 def test_expectations_follow_the_closed_forms_in_lambda(capsys):
     # attack acceptance is 1 - lambda/2 and the singlet's |CHSH| is
     # 2*sqrt(2)*(1 - lambda/2) for every lambda, with no step at lambda = 0
