@@ -294,10 +294,11 @@ def run_scenario(req: ScenarioRequest) -> ScenarioReport:
     the run raises after that is a numerical breakdown at the request's
     tolerance and is re-raised as NumericalBreakdownError.
     """
-    if not (req.tol > 0.0 and np.isfinite(req.tol)):
-        raise InvalidParameterError(f"tolerance must be positive and finite, got {req.tol}")
     caller_tol = qmat.tolerance()
-    qmat.set_tolerance(req.tol)
+    try:
+        qmat.set_tolerance(req.tol)
+    except ValueError as exc:
+        raise InvalidParameterError(str(exc)) from exc
     try:
         world = _validate(req)
         try:

@@ -316,15 +316,14 @@ def steered_branches(
         raise DimensionMismatchError(
             f"measurement dim {effects[0].shape[0]} does not match side A dim {da}"
         )
-    eye_b = np.eye(db, dtype=complex)
     branches = []
     for e in effects:
-        joint = np.kron(e, eye_b) @ state.rho
-        p = float(np.real(np.trace(joint)))
+        unnormalized = qmat.marginal_b_after(e, state.rho, (da, db))
+        p = float(np.real(np.trace(unnormalized)))
         if p <= t:
             branches.append((max(p, 0.0), None))
             continue
-        cond = qmat.partial_trace(joint, (da, db), "B") / p
+        cond = unnormalized / p
         branches.append((p, (cond + dagger(cond)) / 2.0))
     return branches
 

@@ -27,7 +27,7 @@ from .entangle import (
     pure_vector,
     steered_branches,
 )
-from .qmat import DimensionMismatchError, _tol, dagger
+from .qmat import DimensionMismatchError, _tol
 
 # threshold separating a numerically-zero witness from a genuine violation;
 # an EPR attack succeeds when its acceptance is 1 within this edge
@@ -348,12 +348,10 @@ def no_signaling_trial(state: BipartiteState, local_op: KrausChannel, tol: float
     if not local_op.is_trace_preserving(t):
         raise ValueError("selective channel rejected: no-signaling holds for nonselective operations")
     before = state.marginal_b()
-    eye_b = np.eye(db, dtype=complex)
-    after_joint = np.zeros_like(state.rho)
-    for k in local_op.kraus_ops:
-        kk = np.kron(k, eye_b)
-        after_joint += kk @ state.rho @ dagger(kk)
-    after = qmat.partial_trace(after_joint, (da, db), "B")
+    # the Kraus operators stacked into one isometry: tracing out its output
+    # sums Tr_A[(K x I) rho (K x I)^dagger] over every K
+    stacked = np.vstack(local_op.kraus_ops)
+    after = qmat.marginal_b_after(stacked, state.rho, (da, db), stacked)
     return qmat.frobenius_distance(before, after)
 
 

@@ -12,6 +12,7 @@ from functools import reduce
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 _tolerance = DEFAULT_TOL
 
@@ -30,11 +31,16 @@ def tolerance() -> float:
 
 
 def set_tolerance(value: float) -> None:
-    """Override the process-wide tolerance. Set once, before concurrent use."""
+    """Override the process-wide tolerance. Set once, before concurrent use.
+
+    The tolerance must be finite and at least machine epsilon: below that, one
+    rounding step in a state the library builds itself fails its unit-norm or
+    unit-trace check.
+    """
     global _tolerance
     value = float(value)
-    if not (value > 0.0 and np.isfinite(value)):
-        raise ValueError(f"tolerance must be a positive finite number, got {value}")
+    if not (_EPS <= value < np.inf):
+        raise ValueError(f"tolerance must be finite and at least machine epsilon {_EPS:.4g}, got {value}")
     _tolerance = value
 
 
@@ -47,7 +53,7 @@ def as_complex_matrix(entries) -> np.ndarray:
     m = np.asarray(entries, dtype=complex)
     if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] == 0:
         raise ValueError(f"expected a nonempty 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return m
 
@@ -57,7 +63,7 @@ def as_unit_vector(amplitudes, tol: float | None = None) -> np.ndarray:
     v = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if v.size == 0:
         raise ValueError("empty vector")
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+    if not np.isfinite(v).all():
         raise ValueError("vector contains NaN or Inf entries")
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > _tol(tol):
@@ -80,7 +86,7 @@ def require_hermitian(m, tol: float | None = None) -> np.ndarray:
     m = as_complex_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"operator must be square, got shape {m.shape}")
-    dev = float(np.max(np.abs(m - dagger(m))))
+    dev = float(np.abs(m - m.conj().T).max())
     if dev > _tol(tol):
         raise ValueError(f"operator deviates from Hermiticity by {dev}")
     return m
@@ -143,6 +149,39 @@ def partial_trace(m, dims: tuple[int, int], keep) -> np.ndarray:
     if _keep_index(keep) == 0:
         return np.einsum("ijkj->ik", t)
     return np.einsum("ijil->jl", t)
+
+
+def marginal_b_after(left, rho, dims: tuple[int, int], right=None) -> np.ndarray:
+    """Bob's operator Tr_A[(L x I) rho (R x I)^dagger], without forming L x I.
+
+    `dims` is (dA, dB) with the A index major, as in `partial_trace`. L and R
+    have shape (m, dA): they map A into an m-dimensional space that is traced
+    out, so a stack of Kraus operators gives the sum over its branches.
+    `right=None` gives Tr_A[(L x I) rho] and needs a square L. The cost is
+    O(m dA^2 dB^2), against O(dA^3 dB^3) for multiplying by L x I. Shapes
+    are checked, entries are not: pass operators that were validated.
+    """
+    da, db = int(dims[0]), int(dims[1])
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (da * db, da * db):
+        raise DimensionMismatchError(
+            f"operator of shape {rho.shape} does not match subsystem dims {da}x{db}"
+        )
+    left = np.asarray(left, dtype=complex)
+    if left.ndim != 2 or left.shape[1] != da:
+        raise DimensionMismatchError(f"operator of shape {left.shape} does not act on side A of dim {da}")
+    # rows of rho.reshape(da, -1) are the A row index: L acts on it alone
+    lr = (left @ rho.reshape(da, -1)).reshape(left.shape[0], db, da, db)
+    if right is None:
+        if left.shape[0] != da:
+            raise DimensionMismatchError(f"operator of shape {left.shape} is not square")
+        return np.einsum("ajal->jl", lr)
+    right = np.asarray(right, dtype=complex)
+    if right.shape != left.shape:
+        raise DimensionMismatchError(
+            f"right operator of shape {right.shape} does not match left operator of shape {left.shape}"
+        )
+    return np.einsum("ajkl,ak->jl", lr, right.conj())
 
 
 def eigh(h, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:

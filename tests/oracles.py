@@ -64,6 +64,20 @@ def partial_trace_by_loops(m: np.ndarray, da: int, db: int, keep: str) -> np.nda
     return out
 
 
+def marginal_b_after_by_loops(
+    left: np.ndarray, rho: np.ndarray, db: int, right: np.ndarray | None = None
+) -> np.ndarray:
+    """Tr_A[(L x I) rho (R x I)^dagger] through the full Kronecker products.
+
+    L and R have shape (m, dA); `right=None` gives Tr_A[(L x I) rho].
+    """
+    eye_b = np.eye(db, dtype=complex)
+    joint = kron_by_loops(left, eye_b) @ rho
+    if right is not None:
+        joint = joint @ np.conj(kron_by_loops(right, eye_b)).T
+    return partial_trace_by_loops(joint, left.shape[0], db, "B")
+
+
 def matching_pure_ensemble(
     rho: np.ndarray, n_members: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -139,6 +139,19 @@ def test_numerical_breakdown_has_its_own_exit_code(capsys):
         run_scenario(ScenarioRequest(scenario="bitcommit", seed=-1))
 
 
+def test_tolerance_below_machine_epsilon_is_bad_input(monkeypatch, capsys):
+    # at 1e-16 the library's own unit-norm states fail their checks: bad input, not breakdown
+    assert main(["steer", "--tol", "1e-16"]) == EXIT_BAD_PARAMS
+    assert "machine epsilon" in capsys.readouterr().err
+    with pytest.raises(InvalidParameterError):
+        run_scenario(ScenarioRequest(scenario="steer", tol=1e-16))
+    assert qmat.tolerance() == qmat.DEFAULT_TOL
+    assert main(["steer", "--tol", "5e-16"]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("QWORLDS_TOL", "1e-16")
+    assert main(["steer"]) == EXIT_BAD_PARAMS
+
+
 def test_steer_amplitudes_are_judged_at_the_requested_tolerance(capsys):
     # |alpha^2 + beta^2 - 1| = 1.6e-5: inside --tol 1e-3, so the run goes ahead
     # (its fidelity flags then fail, since each fidelity is 1 + 1.6e-5)

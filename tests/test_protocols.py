@@ -5,8 +5,14 @@ import pytest
 
 from qworlds import protocols, qmat
 from qworlds.algebra import BlockAlgebra
-from qworlds.channels import KrausChannel, ProjectiveMeasurement, luders_channel, unitary_channel
-from qworlds.entangle import BipartiteState, Ensemble, epr_singlet, purify
+from qworlds.channels import (
+    GeneralizedMeasurement,
+    KrausChannel,
+    ProjectiveMeasurement,
+    luders_channel,
+    unitary_channel,
+)
+from qworlds.entangle import BipartiteState, Ensemble, epr_singlet, purify, steered_branches
 from qworlds.protocols import (
     CommitmentScheme,
     ConcealmentCheck,
@@ -26,6 +32,7 @@ from qworlds.worlds import World
 
 from tests.oracles import (
     attack_acceptance_by_enumeration,
+    marginal_b_after_by_loops,
     matching_pure_ensemble,
     rand_channel,
     rand_density,
@@ -198,6 +205,40 @@ def test_no_signaling_random_sweep():
             channel = KrausChannel(tuple(rand_channel(rng, dims[0], int(rng.integers(1, 4)))))
             worst = max(worst, no_signaling_trial(BipartiteState(rho, dims), channel))
     assert worst < 1e-10
+
+
+def _separated_random_pairs(rng):
+    """Random pairs at dims (2,2), (2,3), (3,2) and (4,4), each as the three worlds leave it."""
+    for dims in ((2, 2), (2, 3), (3, 2), (4, 4)):
+        rho = rand_density(rng, dims[0] * dims[1])
+        for world in (World.quantum(), World.dephased(0.3), World.classical()):
+            yield world.separate(BipartiteState(rho, dims))
+
+
+def test_no_signaling_trial_matches_kron_reference():
+    rng = np.random.default_rng(37)
+    for state in _separated_random_pairs(rng):
+        kraus = rand_channel(rng, state.dims[0], int(rng.integers(1, 4)))
+        after = sum(marginal_b_after_by_loops(k, state.rho, state.dims[1], k) for k in kraus)
+        expected = qmat.frobenius_distance(state.marginal_b(), after)
+        assert abs(no_signaling_trial(state, KrausChannel(tuple(kraus))) - expected) < 1e-12
+
+
+def test_steered_branches_match_kron_reference():
+    rng = np.random.default_rng(41)
+    for state in _separated_random_pairs(rng):
+        da = state.dims[0]
+        effects = [qmat.dagger(k) @ k for k in rand_channel(rng, da, 3)]
+        effects.append(np.zeros((da, da)))  # a branch below tolerance keeps its index
+        branches = steered_branches(state, GeneralizedMeasurement(tuple(effects)))
+        assert len(branches) == len(effects)
+        for e, (p, cond) in zip(effects, branches):
+            unnormalized = marginal_b_after_by_loops(e, state.rho, state.dims[1])
+            assert abs(p - np.trace(unnormalized).real) < 1e-12
+            if cond is None:
+                assert p <= qmat.tolerance()
+            else:
+                assert np.max(np.abs(cond - unnormalized / p)) < 1e-12
 
 
 def test_no_signaling_rejects_selective_channel():

@@ -3,7 +3,15 @@ import pytest
 
 from qworlds import qmat
 
-from tests.oracles import kron_by_loops, partial_trace_by_loops, rand_density, rand_pure
+from tests.oracles import (
+    kron_by_loops,
+    marginal_b_after_by_loops,
+    partial_trace_by_loops,
+    rand_density,
+    rand_pure,
+)
+
+NONFINITE = (np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf), complex(0, -np.inf))
 
 
 def test_tensor_of_identities_is_identity():
@@ -151,10 +159,15 @@ def test_unit_vector_validation():
 
 
 def test_matrix_rejects_nonfinite_entries():
-    with pytest.raises(ValueError):
-        qmat.as_complex_matrix([[np.nan, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        qmat.as_complex_matrix([[np.inf, 0], [0, 1]])
+    for bad in NONFINITE:
+        with pytest.raises(ValueError, match="matrix contains NaN or Inf entries"):
+            qmat.as_complex_matrix([[1, 0], [0, bad]])
+
+
+def test_vector_rejects_nonfinite_entries():
+    for bad in NONFINITE:
+        with pytest.raises(ValueError, match="vector contains NaN or Inf entries"):
+            qmat.as_unit_vector([1, bad])
 
 
 def test_tolerance_override_roundtrip():
@@ -166,3 +179,45 @@ def test_tolerance_override_roundtrip():
         qmat.set_tolerance(qmat.DEFAULT_TOL)
     with pytest.raises(ValueError):
         qmat.set_tolerance(-1.0)
+    # a tolerance that is not finite or is below machine epsilon is refused
+    try:
+        for bad in (1e-17, 0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="machine epsilon"):
+                qmat.set_tolerance(bad)
+        assert qmat.tolerance() == qmat.DEFAULT_TOL
+        qmat.set_tolerance(np.finfo(float).eps)
+        assert qmat.tolerance() == np.finfo(float).eps
+    finally:
+        qmat.set_tolerance(qmat.DEFAULT_TOL)
+
+
+def _rand_op(rng, rows, cols):
+    return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+
+def test_marginal_b_after_matches_kron_oracle():
+    rng = np.random.default_rng(31)
+    for da, db in ((2, 2), (2, 3), (3, 2), (4, 4), (8, 8)):
+        rho = rand_density(rng, da * db)
+        left, right = _rand_op(rng, da, da), _rand_op(rng, da, da)
+        got = qmat.marginal_b_after(left, rho, (da, db), right)
+        assert np.max(np.abs(got - marginal_b_after_by_loops(left, rho, db, right))) < 1e-12
+        got = qmat.marginal_b_after(left, rho, (da, db))
+        assert np.max(np.abs(got - marginal_b_after_by_loops(left, rho, db))) < 1e-12
+        # stacked operators (m != dA) sum the branches they stack
+        tall = _rand_op(rng, 3 * da, da)
+        got = qmat.marginal_b_after(tall, rho, (da, db), tall)
+        assert np.max(np.abs(got - marginal_b_after_by_loops(tall, rho, db, tall))) < 1e-12
+
+
+def test_marginal_b_after_dimension_mismatch():
+    rho = np.eye(6, dtype=complex) / 6
+    op = np.eye(2, dtype=complex)
+    with pytest.raises(qmat.DimensionMismatchError):
+        qmat.marginal_b_after(op, rho, (2, 2))  # rho is not 4x4
+    with pytest.raises(qmat.DimensionMismatchError):
+        qmat.marginal_b_after(np.eye(3), rho, (2, 3))  # L acts on dim 3, A has dim 2
+    with pytest.raises(qmat.DimensionMismatchError):
+        qmat.marginal_b_after(op, rho, (2, 3), np.ones((4, 2)))  # R shape differs from L
+    with pytest.raises(qmat.DimensionMismatchError):
+        qmat.marginal_b_after(np.ones((4, 2)), rho, (2, 3))  # Tr_A[(L x I) rho] needs square L
