@@ -158,8 +158,8 @@ def _run_steer(req: ScenarioRequest, world: World) -> tuple[dict, dict]:
     # decohering world fails these flags, which is the point of the comparison
     flags = {
         "ensemble_average_matches_marginal": marginal_gap <= _FLAG_TOL,
-        "probabilities_uniform": all(abs(p - 0.25) <= 1e-10 for p in probs),
-        "conditionals_match_targets": all(abs(f - 1.0) <= 1e-10 for f in fidelities),
+        "probabilities_uniform": all(abs(p - 0.25) <= REPORT_EDGE for p in probs),
+        "conditionals_match_targets": all(abs(f - 1.0) <= REPORT_EDGE for f in fidelities),
     }
     return results, flags
 
@@ -184,7 +184,7 @@ def _run_teleport(req: ScenarioRequest, world: World) -> tuple[dict, dict]:
         "outcome_counts": counts,
     }
     flags = {
-        "mean_fidelity_unity": abs(mean_fid - 1.0) <= 1e-10,
+        "mean_fidelity_unity": abs(mean_fid - 1.0) <= REPORT_EDGE,
         "all_outcomes_observed": all(c > 0 for c in counts) if req.trials >= 50 else True,
     }
     return results, flags

@@ -89,16 +89,21 @@ class SchmidtDecomposition:
         )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Probability-weighted mixture of density operators of one dimension."""
+    """Probability-weighted mixture of density operators of one dimension.
+
+    Immutable: the fields cannot be reassigned, and `probabilities` and each
+    member are read-only copies of the inputs, so an ensemble validated once
+    stays valid wherever it is shared. The caller's arrays stay writeable.
+    """
 
     probabilities: np.ndarray
     members: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         t = qmat.tolerance()
-        p = np.asarray(self.probabilities, dtype=float).reshape(-1)
+        p = np.array(self.probabilities, dtype=float).reshape(-1)
         if p.size != len(self.members):
             raise DimensionMismatchError("one probability per member is required")
         if p.size == 0:
@@ -107,11 +112,13 @@ class Ensemble:
             raise ValueError(f"negative probability {float(p.min())}")
         if abs(float(p.sum()) - 1.0) > max(t, 1e-12 * p.size):
             raise ValueError(f"probabilities sum to {float(p.sum())}, not 1")
-        members = tuple(qmat.require_density(m, t) for m in self.members)
+        # require_density may return the caller's own array: copy before freezing
+        members = tuple(qmat._readonly(qmat.require_density(m, t).copy()) for m in self.members)
         dim = members[0].shape[0]
         if any(m.shape != (dim, dim) for m in members):
             raise DimensionMismatchError("ensemble members must share one dimension")
-        self.probabilities, self.members = p, members
+        object.__setattr__(self, "probabilities", qmat._readonly(p))
+        object.__setattr__(self, "members", members)
 
     @classmethod
     def from_pure_states(cls, probabilities, vectors) -> "Ensemble":
@@ -137,6 +144,9 @@ class SteeringExampleConfig:
 
     def __post_init__(self):
         a, b = float(self.alpha), float(self.beta)
+        for name, value in (("alpha", a), ("beta", b)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if abs(a * a + b * b - 1.0) > qmat.tolerance():
             raise ValueError(f"alpha^2 + beta^2 = {a * a + b * b}, not 1")
         object.__setattr__(self, "alpha", a)

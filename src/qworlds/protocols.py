@@ -11,6 +11,7 @@ member, which makes honest acceptance exactly 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +31,8 @@ from .entangle import (
 from .qmat import DimensionMismatchError, _tol
 
 # threshold separating a numerically-zero witness from a genuine violation;
-# an EPR attack succeeds when its acceptance is 1 within this edge
+# an EPR attack succeeds when its acceptance is 1 within this edge, and the
+# CLI's steer and teleport flags compare against it too
 REPORT_EDGE = 1e-10
 
 
@@ -117,6 +119,17 @@ def classical_scheme() -> CommitmentScheme:
         Ensemble.from_pure_states([0.5, 0.5], [z0, z1]),
         Ensemble.from_pure_states([0.5, 0.5], [z1, z0]),
     )
+
+
+@lru_cache(maxsize=1)
+def _reference_schemes(t: float) -> tuple[CommitmentScheme, CommitmentScheme]:
+    """The BB84 and classical schemes, shared by every round at τ = t.
+
+    Called with the current τ, so the schemes are validated at t. Sharing is
+    safe because a scheme and its ensembles are immutable. One entry matches
+    the schemes' own memo, which keeps the latest τ only.
+    """
+    return bb84_scheme(), classical_scheme()
 
 
 @dataclass(frozen=True)
@@ -274,10 +287,11 @@ def commitment_round(world, rng: np.random.Generator) -> CommitmentRound:
     Honest runs use a scheme the world carries intact (classical in the
     classical world, else BB84); the attack always targets BB84. It succeeds
     when both unveilings are accepted with probability 1 within REPORT_EDGE.
+    Every round at one τ shares one pair of schemes, and so their EPR setup.
     """
-    attack_scheme = bb84_scheme()
+    attack_scheme, classical = _reference_schemes(qmat.tolerance())
     honest_name = "classical" if world.kind == "classical" else "bb84"
-    honest_scheme = classical_scheme() if honest_name == "classical" else attack_scheme
+    honest_scheme = classical if honest_name == "classical" else attack_scheme
     honest = [
         run_commitment(honest_scheme, Honest(bit), world, int(rng.integers(2**63))).acceptance_probability
         for bit in (0, 1)

@@ -165,6 +165,17 @@ def test_steer_amplitudes_are_judged_at_the_requested_tolerance(capsys):
     assert qmat.tolerance() == qmat.DEFAULT_TOL  # restored after the rejected request
 
 
+@pytest.mark.parametrize("amplitude", ["alpha", "beta"])
+def test_nonfinite_steering_amplitudes_are_bad_input(amplitude, capsys):
+    # |alpha^2 + beta^2 - 1| > tol is False for NaN, so finiteness is checked first
+    for value in ("nan", "inf"):
+        assert main(["steer", f"--{amplitude}", value]) == EXIT_BAD_PARAMS
+        err = capsys.readouterr().err
+        assert "invalid parameter" in err and f"{amplitude} must be finite, got {value}" in err
+    with pytest.raises(InvalidParameterError, match=f"{amplitude} must be finite"):
+        run_scenario(ScenarioRequest(scenario="steer", **{amplitude: float("nan")}))
+
+
 def test_expectations_follow_the_closed_forms_in_lambda(capsys):
     # attack acceptance is 1 - lambda/2 and the singlet's |CHSH| is
     # 2*sqrt(2)*(1 - lambda/2) for every lambda, with no step at lambda = 0

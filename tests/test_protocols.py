@@ -1,8 +1,13 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qworlds
 from qworlds import protocols, qmat
 from qworlds.algebra import BlockAlgebra
 from qworlds.channels import (
@@ -12,6 +17,7 @@ from qworlds.channels import (
     luders_channel,
     unitary_channel,
 )
+from qworlds.cli import ScenarioRequest, run_scenario
 from qworlds.entangle import BipartiteState, Ensemble, epr_singlet, purify, steered_branches
 from qworlds.protocols import (
     CommitmentScheme,
@@ -304,7 +310,8 @@ def test_reused_scheme_matches_fresh_schemes():
                 assert warm.acceptance_probability == cold.acceptance_probability
 
 
-def test_epr_setup_is_built_once_per_scheme_bit_and_tolerance(monkeypatch):
+def count_epr_builds(monkeypatch) -> dict:
+    """Count calls of the purification and HJW builders that `protocols` makes."""
     counts = {"purify": 0, "hjw": 0}
 
     def counting(name, fn):
@@ -317,6 +324,11 @@ def test_epr_setup_is_built_once_per_scheme_bit_and_tolerance(monkeypatch):
     monkeypatch.setattr(
         protocols, "hjw_steering_measurement", counting("hjw", protocols.hjw_steering_measurement)
     )
+    return counts
+
+
+def test_epr_setup_is_built_once_per_scheme_bit_and_tolerance(monkeypatch):
+    counts = count_epr_builds(monkeypatch)
     schemes = (bb84_scheme(), bb84_scheme())
 
     def run_ten():
@@ -342,3 +354,86 @@ def test_commitment_scheme_is_frozen():
     scheme = bb84_scheme()
     with pytest.raises(dataclasses.FrozenInstanceError):
         scheme.ensemble_0 = scheme.ensemble_1
+    # an edited ensemble would leave the memoized HJW measurement stale
+    assert run_commitment(scheme, EprAttack(1), World.quantum(), 3).acceptance_probability == pytest.approx(1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scheme.ensemble_1.members = scheme.ensemble_0.members
+    with pytest.raises(ValueError):
+        scheme.ensemble_1.members[0][...] = scheme.ensemble_0.members[0]
+    assert run_commitment(scheme, EprAttack(1), World.quantum(), 3).acceptance_probability == pytest.approx(1.0)
+
+
+def test_ensembles_are_immutable_and_leave_the_callers_arrays_writeable():
+    probabilities = np.array([0.5, 0.5])
+    member = np.array([[1, 0], [0, 0]], dtype=complex)  # complex128: validated without a copy
+    ens = Ensemble(probabilities, (member, np.eye(2, dtype=complex) - member))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ens.members = ens.members[::-1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ens.probabilities = probabilities
+    with pytest.raises(ValueError):
+        ens.members[0][1, 1] = 1.0
+    with pytest.raises(ValueError):
+        ens.probabilities[0] = 1.0
+    assert member.flags.writeable and probabilities.flags.writeable
+    member[1, 1], probabilities[0] = 1.0, 1.0  # the caller's later writes do not reach the ensemble
+    assert ens.members[0][1, 1] == 0.0 and ens.probabilities[0] == 0.5
+    pure = Ensemble.from_pure_states([1.0], [np.array([1, 0], dtype=complex)])
+    with pytest.raises(ValueError):
+        pure.members[0][0, 0] = 0.0
+
+
+def test_reference_schemes_are_built_once_per_tolerance(monkeypatch):
+    counts = count_epr_builds(monkeypatch)
+    protocols._reference_schemes.cache_clear()
+    rng = np.random.default_rng(5)
+
+    def run_ten():
+        for k in range(10):
+            protocols.commitment_round(MEMO_WORLDS[k % len(MEMO_WORLDS)], rng)
+
+    caller_tol = qmat.tolerance()
+    try:
+        run_ten()
+        assert counts == {"purify": 1, "hjw": 2}  # one pair, one measurement per bit, for every round
+        qmat.set_tolerance(1e-8)
+        run_ten()
+        assert counts == {"purify": 2, "hjw": 4}  # a new tolerance builds one more set
+    finally:
+        qmat.set_tolerance(caller_tol)
+    run_ten()
+    assert counts == {"purify": 3, "hjw": 6}  # only the latest tolerance is kept
+
+
+REFERENCE_REQUESTS = [
+    ScenarioRequest(scenario, world_kind=kind, strength=strength, seed=11)
+    for scenario in ("bitcommit", "constraints")
+    for kind, strength in (
+        ("quantum", 1.0), ("dephased", 0.0), ("dephased", 0.3), ("dephased", 1.0), ("classical", 1.0)
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "req", REFERENCE_REQUESTS, ids=[f"{r.scenario}-{r.world_kind}-{r.strength}" for r in REFERENCE_REQUESTS]
+)
+def test_shared_reference_schemes_give_the_reports_of_fresh_ones(req):
+    run_scenario(req)
+    warm = run_scenario(req).render()
+    protocols._reference_schemes.cache_clear()
+    cold = run_scenario(req).render()
+    assert warm == cold
+
+
+def test_shared_reference_schemes_match_a_fresh_process():
+    req = ScenarioRequest("constraints", world_kind="dephased", strength=0.3, seed=11)
+    run_scenario(req)
+    warm = run_scenario(req).render()
+    src = str(Path(qworlds.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("QWORLDS_TOL", None)
+    fresh = subprocess.run(
+        [sys.executable, "-m", "qworlds", "constraints", "--world", "dephased", "--lambda", "0.3", "--seed", "11"],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert fresh.stdout == warm
