@@ -63,61 +63,31 @@ def _projectivity_defect(effects: tuple[np.ndarray, ...], t: float) -> str | Non
     return None
 
 
-@dataclass(eq=False)
-class ProjectiveMeasurement:
-    """Complete set of mutually orthogonal projectors."""
-
-    projectors: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        t = qmat.tolerance()
-        ps = tuple(qmat.require_hermitian(p, t) for p in self.projectors)
-        if not ps:
-            raise ValueError("a measurement needs at least one projector")
-        dim = ps[0].shape[0]
-        if any(p.shape != (dim, dim) for p in ps):
-            raise DimensionMismatchError("projectors must share one dimension")
-        defect = _projectivity_defect(ps, t)
-        if defect is not None:
-            raise ValueError(defect)
-        if qmat.frobenius_distance(sum(ps), np.eye(dim)) > t * dim:
-            raise ValueError("projectors do not resolve the identity")
-        self.projectors = ps
-
-    @property
-    def dim(self) -> int:
-        return self.projectors[0].shape[0]
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.projectors)
-
-    @property
-    def effects(self) -> tuple[np.ndarray, ...]:
-        return self.projectors
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class GeneralizedMeasurement:
-    """POVM: positive effects summing to the identity."""
+    """POVM: positive effects summing to the identity.
+
+    Immutable: `effects` cannot be reassigned and holds read-only copies of
+    the inputs, so a measurement validated once stays valid wherever it is
+    shared. The caller's arrays stay writeable.
+    """
 
     effects: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         t = qmat.tolerance()
-        es = tuple(qmat.require_hermitian(e, t) for e in self.effects)
+        # require_hermitian may return the caller's own array: copy before freezing
+        es = tuple(qmat._readonly(qmat.require_hermitian(e, t).copy()) for e in self.effects)
         if not es:
             raise ValueError("a measurement needs at least one effect")
         dim = es[0].shape[0]
         if any(e.shape != (dim, dim) for e in es):
             raise DimensionMismatchError("effects must share one dimension")
         for i, e in enumerate(es):
-            w = np.linalg.eigvalsh((e + dagger(e)) / 2.0)
-            if float(w.min()) < -t:
-                raise ValueError(f"effect {i} has negative eigenvalue {float(w.min())}")
+            qmat._require_psd(e, t, f"effect {i}")
         if qmat.frobenius_distance(sum(es), np.eye(dim)) > t * dim:
             raise ValueError("effects do not sum to the identity")
-        self.effects = es
+        object.__setattr__(self, "effects", es)
 
     @property
     def dim(self) -> int:
@@ -129,6 +99,20 @@ class GeneralizedMeasurement:
 
     def is_projective(self, tol: float | None = None) -> bool:
         return _projectivity_defect(self.effects, _tol(tol)) is None
+
+
+class ProjectiveMeasurement(GeneralizedMeasurement):
+    """Complete set of mutually orthogonal projectors: a POVM with idempotent effects."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        defect = _projectivity_defect(self.effects, qmat.tolerance())
+        if defect is not None:
+            raise ValueError(defect)
+
+    @property
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        return self.effects
 
 
 @dataclass(eq=False)
@@ -214,13 +198,12 @@ def dilate_povm(m, tol: float | None = None) -> NaimarkDilation:
     carries outcome i. A measurement that is already projective is returned
     unchanged with a trivial ancilla.
     """
-    t = _tol(tol)
-    if isinstance(m, ProjectiveMeasurement):
-        return NaimarkDilation(1, m, np.eye(m.dim, dtype=complex))
     if not isinstance(m, GeneralizedMeasurement):
         m = GeneralizedMeasurement(tuple(m))
-    if m.is_projective(t):
-        return NaimarkDilation(1, ProjectiveMeasurement(m.effects), np.eye(m.dim, dtype=complex))
+    if not isinstance(m, ProjectiveMeasurement) and m.is_projective(_tol(tol)):
+        m = ProjectiveMeasurement(m.effects)
+    if isinstance(m, ProjectiveMeasurement):
+        return NaimarkDilation(1, m, np.eye(m.dim, dtype=complex))
     d, n = m.dim, m.n_outcomes
     embed = np.vstack([_psd_sqrt(e) for e in m.effects])  # shape (n*d, d), ancilla major
     joint = []
@@ -248,7 +231,7 @@ def dephase(channel: DephasingChannel, rho, tol: float | None = None) -> np.ndar
 
 
 def _effects_of(m) -> tuple[np.ndarray, ...]:
-    if isinstance(m, (ProjectiveMeasurement, GeneralizedMeasurement)):
+    if isinstance(m, GeneralizedMeasurement):
         return m.effects
     raise TypeError(f"expected a measurement, got {type(m).__name__}")
 

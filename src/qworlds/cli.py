@@ -122,15 +122,10 @@ def _validate(req: ScenarioRequest) -> World:
             raise InvalidParameterError(str(exc)) from exc
     if req.scenario == "teleport" and req.trials < 1:
         raise InvalidParameterError(f"trials must be positive, got {req.trials}")
-    if req.world_kind == "quantum":
-        return World.quantum()
-    if req.world_kind == "classical":
-        return World.classical()
-    if req.world_kind == "dephased":
-        if not 0.0 <= req.strength <= 1.0:
-            raise InvalidParameterError(f"lambda must lie in [0, 1], got {req.strength}")
-        return World.dephased(req.strength)
-    raise InvalidParameterError(f"unknown world {req.world_kind!r}")
+    try:
+        return World(req.world_kind, req.strength if req.world_kind == "dephased" else 0.0)
+    except ValueError as exc:
+        raise InvalidParameterError(str(exc)) from exc
 
 
 def _attack_expected(world: World) -> bool:
@@ -350,11 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None,
                        help=f"numeric tolerance (default {TOL_ENV_VAR} or {qmat.DEFAULT_TOL})")
         p.add_argument("--out", default=None, help="write the JSON report to this path")
+        # absent flags keep the ScenarioRequest defaults
         if name == "steer":
-            p.add_argument("--alpha", type=float, default=0.6)
-            p.add_argument("--beta", type=float, default=0.8)
+            p.add_argument("--alpha", type=float, default=argparse.SUPPRESS)
+            p.add_argument("--beta", type=float, default=argparse.SUPPRESS)
         if name == "teleport":
-            p.add_argument("--trials", type=int, default=100)
+            p.add_argument("--trials", type=int, default=argparse.SUPPRESS)
     return parser
 
 
@@ -366,12 +362,10 @@ def main(argv: list[str] | None = None) -> int:
             scenario=args.scenario,
             world_kind=args.world,
             strength=args.strength,
-            alpha=getattr(args, "alpha", 0.6),
-            beta=getattr(args, "beta", 0.8),
-            trials=getattr(args, "trials", 100),
             seed=args.seed,
             tol=args.tol if args.tol is not None else _default_tol(),
             out_path=args.out,
+            **{k: getattr(args, k) for k in ("alpha", "beta", "trials") if hasattr(args, k)},
         )
         report = run_scenario(req)
     except NumericalBreakdownError as exc:

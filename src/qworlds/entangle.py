@@ -25,9 +25,12 @@ class UnsupportedTargetError(ValueError):
     """Target state lies outside the support of the reduced density operator."""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class BipartiteState:
-    """Density operator on a two-factor space with dims (dA, dB), A index major."""
+    """Density operator on a two-factor space with dims (dA, dB), A index major.
+
+    Immutable, as `Ensemble` is: `rho` is a read-only copy of the input.
+    """
 
     rho: np.ndarray
     dims: tuple[int, int]
@@ -39,8 +42,8 @@ class BipartiteState:
             raise DimensionMismatchError(
                 f"state of shape {rho.shape} does not match dims {da}x{db}"
             )
-        self.rho = rho
-        self.dims = (da, db)
+        object.__setattr__(self, "rho", qmat._readonly(rho.copy()))
+        object.__setattr__(self, "dims", (da, db))
 
     def marginal_a(self) -> np.ndarray:
         return qmat.partial_trace(self.rho, self.dims, "A")
@@ -76,6 +79,8 @@ class SchmidtDecomposition:
         self.coefficients = c
         self.a_basis = qmat.require_orthonormal_rows(self.a_basis, t, "a_basis")
         self.b_basis = qmat.require_orthonormal_rows(self.b_basis, t, "b_basis")
+        if not len(self.a_basis) == len(self.b_basis) == c.size:
+            raise DimensionMismatchError(f"a_basis and b_basis need one row per coefficient ({c.size})")
 
     @property
     def rank(self) -> int:
@@ -210,13 +215,8 @@ def schmidt(psi, dims: tuple[int, int], tol: float | None = None) -> SchmidtDeco
     s = s[keep]
     a_rows = u.T[keep]
     b_rows = vh[keep]
-    for k in range(s.size):
-        idx = int(np.argmax(np.abs(a_rows[k])))
-        ph = a_rows[k][idx]
-        if abs(ph) > 0.0:
-            ph = ph / abs(ph)
-            a_rows[k] = a_rows[k] * np.conj(ph)
-            b_rows[k] = b_rows[k] * ph
+    for k, fix in enumerate(qmat._fix_phases(a_rows)):
+        b_rows[k] = b_rows[k] * np.conj(fix)
     dec = SchmidtDecomposition(s, a_rows, b_rows)
     if not qmat.vectors_match(dec.vector(), psi, t):
         raise RuntimeError("Schmidt reconstruction failed to match the input vector")
@@ -256,6 +256,13 @@ def pure_vector(rho, tol: float | None = None) -> np.ndarray:
     return v[:, 0]
 
 
+def _require_average(target: Ensemble, marginal_b: np.ndarray, t: float, mismatch: str) -> None:
+    """Raise AverageMismatchError, as "<mismatch> by <gap>", unless the target averages to marginal_b."""
+    gap = qmat.frobenius_distance(target.average(), marginal_b)
+    if gap > max(t, 1e-7):
+        raise AverageMismatchError(f"{mismatch} by {gap}")
+
+
 def hjw_steering_measurement(
     purification, dims: tuple[int, int], target: Ensemble, tol: float | None = None
 ) -> GeneralizedMeasurement:
@@ -283,11 +290,7 @@ def hjw_steering_measurement(
             f"target members have dim {target.dim}, steered side has dim {db}"
         )
     marginal_b = qmat.partial_trace(qmat.projector(psi), (da, db), "B")
-    gap = qmat.frobenius_distance(target.average(), marginal_b)
-    if gap > max(t, 1e-7):
-        raise AverageMismatchError(
-            f"target ensemble average deviates from the B marginal by {gap}"
-        )
+    _require_average(target, marginal_b, t, "target ensemble average deviates from the B marginal")
     dec = schmidt(psi, (da, db), t)
     coeffs = dec.coefficients
     support = sum(qmat.projector(b) for b in dec.b_basis)

@@ -20,9 +20,9 @@ from . import qmat
 from .algebra import BlockAlgebra, is_commutative
 from .channels import KrausChannel
 from .entangle import (
-    AverageMismatchError,
     BipartiteState,
     Ensemble,
+    _require_average,
     hjw_steering_measurement,
     purify,
     pure_vector,
@@ -238,11 +238,9 @@ def run_commitment(scheme: CommitmentScheme, strategy, world, rng_seed: int) -> 
         d = scheme.dim
         separated = world.separate(scheme._epr_pair(t))
         target = scheme.ensemble(strategy.unveil_bit)
-        gap = qmat.frobenius_distance(target.average(), separated.marginal_b())
-        if gap > max(t, 1e-7):
-            raise AverageMismatchError(
-                f"world transformation moved Bob's marginal off the target average by {gap}"
-            )
+        _require_average(
+            target, separated.marginal_b(), t, "world transformation moved Bob's marginal off the target average"
+        )
         measurement = scheme._steering_measurement(strategy.unveil_bit, t)
         branches = steered_branches(separated, measurement, t)
         n_targets = len(target.members)

@@ -75,13 +75,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(np.asarray(m)).T
 
 
-def is_hermitian(m, tol: float | None = None) -> bool:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return float(np.max(np.abs(m - dagger(m)))) <= _tol(tol)
-
-
 def require_hermitian(m, tol: float | None = None) -> np.ndarray:
     m = as_complex_matrix(m)
     if m.shape[0] != m.shape[1]:
@@ -99,10 +92,15 @@ def require_density(rho, tol: float | None = None) -> np.ndarray:
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > t:
         raise ValueError(f"density operator trace {tr} is not 1 within tolerance")
-    w = np.linalg.eigvalsh((rho + dagger(rho)) / 2.0)
-    if float(w.min()) < -t:
-        raise ValueError(f"density operator has negative eigenvalue {float(w.min())}")
+    _require_psd(rho, t, "density operator")
     return rho
+
+
+def _require_psd(m: np.ndarray, t: float, name: str) -> None:
+    """Raise unless the Hermitian part of `m` has no eigenvalue below -t."""
+    w = np.linalg.eigvalsh((m + dagger(m)) / 2.0)
+    if float(w.min()) < -t:
+        raise ValueError(f"{name} has negative eigenvalue {float(w.min())}")
 
 
 def projector(v) -> np.ndarray:
@@ -119,25 +117,11 @@ def tensor(*factors) -> np.ndarray:
     return reduce(np.kron, mats)
 
 
-def tensor_vectors(*factors) -> np.ndarray:
-    """Kronecker product of vectors, first factor major."""
-    vecs = [np.asarray(f, dtype=complex).reshape(-1) for f in factors]
-    return reduce(np.kron, vecs)
-
-
-def _keep_index(keep) -> int:
-    if keep in (0, 1):
-        return int(keep)
-    if isinstance(keep, str) and keep.upper() in ("A", "B"):
-        return 0 if keep.upper() == "A" else 1
-    raise ValueError(f"keep must be 0/1 or 'A'/'B', got {keep!r}")
-
-
 def partial_trace(m, dims: tuple[int, int], keep) -> np.ndarray:
     """Trace out one tensor factor of a bipartite operator, keeping the other.
 
-    `dims` is (dA, dB) with the A index major; `keep` selects the surviving
-    subsystem as 0/'A' or 1/'B'. The total trace is preserved.
+    `dims` is (dA, dB) with the A index major; `keep` names the surviving
+    subsystem, "A" or "B". The total trace is preserved.
     """
     m = as_complex_matrix(m)
     da, db = int(dims[0]), int(dims[1])
@@ -146,9 +130,11 @@ def partial_trace(m, dims: tuple[int, int], keep) -> np.ndarray:
             f"operator of shape {m.shape} does not match subsystem dims {da}x{db}"
         )
     t = m.reshape(da, db, da, db)
-    if _keep_index(keep) == 0:
+    if keep == "A":
         return np.einsum("ijkj->ik", t)
-    return np.einsum("ijil->jl", t)
+    if keep == "B":
+        return np.einsum("ijil->jl", t)
+    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
 def marginal_b_after(left, rho, dims: tuple[int, int], right=None) -> np.ndarray:
@@ -200,13 +186,22 @@ def eigh(h, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
         raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
     w = w[::-1].astype(float)
     v = v[:, ::-1]
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        idx = int(np.argmax(np.abs(col)))
-        a = col[idx]
-        if abs(a) > 0.0:
-            v[:, k] = col * (np.conj(a) / abs(a))
+    _fix_phases(v.T)
     return w, v
+
+
+def _fix_phases(rows: np.ndarray) -> list:
+    """Make the largest-magnitude entry a of each row real and nonnegative, in place.
+
+    Returns the factor conj(a)/|a| applied to each row (1 for a zero row), so
+    a paired basis can take in its conjugate.
+    """
+    fixes = []
+    for k, row in enumerate(rows):
+        a = row[int(np.argmax(np.abs(row)))]
+        fixes.append(np.conj(a) / abs(a) if abs(a) > 0.0 else 1.0)
+        rows[k] = row * fixes[k]  # not `*=`: numpy's in-place loop can round differently
+    return fixes
 
 
 def frobenius_distance(a, b=None) -> float:

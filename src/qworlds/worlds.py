@@ -35,7 +35,7 @@ class World:
             raise ValueError(f"unknown world kind {self.kind!r}; expected one of {_WORLD_KINDS}")
         s = float(self.strength)
         if not 0.0 <= s <= 1.0:
-            raise ValueError(f"dephasing strength must lie in [0, 1], got {s}")
+            raise ValueError(f"dephasing strength lambda must lie in [0, 1], got {s}")
         if self.kind != "dephased" and s != 0.0:
             raise ValueError(f"{self.kind} world takes no dephasing strength")
         object.__setattr__(self, "strength", s)

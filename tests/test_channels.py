@@ -105,6 +105,9 @@ def test_projective_measurement_validation():
         ProjectiveMeasurement((qmat.projector([1, 0]), PLUS_X))  # not orthogonal
     with pytest.raises(ValueError):
         ProjectiveMeasurement((qmat.projector([1, 0]),))  # incomplete
+    with pytest.raises(ValueError, match="projector 0 is not idempotent"):
+        ProjectiveMeasurement((0.5 * np.eye(2), 0.5 * np.eye(2)))  # a POVM, not projective
+    assert isinstance(sigma_z_measurement(), GeneralizedMeasurement)
 
 
 def test_generalized_measurement_validation():

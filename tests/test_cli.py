@@ -76,6 +76,9 @@ def test_main_exit_codes(tmp_path):
     # invalid parameters
     assert main(["steer", "--alpha", "0.9", "--beta", "0.9"]) == EXIT_BAD_PARAMS
     assert main(["constraints", "--world", "dephased", "--lambda", "1.7"]) == EXIT_BAD_PARAMS
+    for strength in (1.7, float("nan")):
+        with pytest.raises(InvalidParameterError, match="lambda"):
+            run_scenario(ScenarioRequest(scenario="constraints", world_kind="dephased", strength=strength))
     assert main(["teleport", "--trials", "0"]) == EXIT_BAD_PARAMS
 
     # unwritable output path

@@ -7,6 +7,7 @@ from qworlds.entangle import (
     AverageMismatchError,
     BipartiteState,
     Ensemble,
+    SchmidtDecomposition,
     SteeringExampleConfig,
     UnsupportedTargetError,
     bell_basis,
@@ -70,6 +71,14 @@ def test_schmidt_random_vector_matches_marginal_spectrum():
 def test_schmidt_dimension_mismatch():
     with pytest.raises(qmat.DimensionMismatchError):
         schmidt(rand_pure(np.random.default_rng(0), 6), (2, 2))
+
+
+def test_schmidt_decomposition_needs_one_row_per_coefficient():
+    # zip would pair two coefficients with one a-row and rebuild a vector of norm 0.707
+    with pytest.raises(qmat.DimensionMismatchError):
+        SchmidtDecomposition([SQRT_HALF, SQRT_HALF], np.eye(2)[:1], np.eye(2))
+    with pytest.raises(qmat.DimensionMismatchError):
+        SchmidtDecomposition([SQRT_HALF, SQRT_HALF], np.eye(2), np.eye(3)[:1])
 
 
 def test_purify_pure_state_is_product():

@@ -363,6 +363,28 @@ def test_commitment_scheme_is_frozen():
     assert run_commitment(scheme, EprAttack(1), World.quantum(), 3).acceptance_probability == pytest.approx(1.0)
 
 
+def test_epr_pair_and_steering_measurements_are_immutable():
+    # each write once reached a scheme's EPR memo and turned an attack acceptance of 1 into 0.5
+    scheme, t = bb84_scheme(), qmat.tolerance()
+    pair = scheme._epr_pair(t)
+    with pytest.raises(ValueError):
+        pair.rho[...] = np.diag([0.25] * 4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pair.rho = np.diag([0.25] * 4).astype(complex)
+    measurement = scheme._steering_measurement(1, t)
+    with pytest.raises(ValueError):
+        measurement.effects[0][...] = measurement.effects[1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        measurement.effects = measurement.effects[::-1]
+    for bit in (0, 1):
+        assert run_commitment(scheme, EprAttack(bit), World.quantum(), 3).acceptance_probability == pytest.approx(1.0)
+    rho, effect = qmat.projector([1, 0, 0, 0]), qmat.projector([1, 0])
+    state = BipartiteState(rho, (2, 2))
+    povm = GeneralizedMeasurement((effect, np.eye(2, dtype=complex) - effect))
+    rho[0, 0] = effect[0, 0] = 0.0  # the caller's arrays stay writeable, and the copies keep their values
+    assert state.rho[0, 0] == 1.0 and povm.effects[0][0, 0] == 1.0
+
+
 def test_ensembles_are_immutable_and_leave_the_callers_arrays_writeable():
     probabilities = np.array([0.5, 0.5])
     member = np.array([[1, 0], [0, 0]], dtype=complex)  # complex128: validated without a copy

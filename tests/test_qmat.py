@@ -108,6 +108,12 @@ def test_partial_trace_dimension_mismatch():
         qmat.partial_trace(np.eye(5), (2, 3), "A")
 
 
+def test_partial_trace_keeps_side_a_or_b_only():
+    for keep in (0, 1, "a", "b", None):
+        with pytest.raises(ValueError, match="keep must be 'A' or 'B'"):
+            qmat.partial_trace(np.eye(4), (2, 2), keep)
+
+
 def test_eigh_identity():
     w, _ = qmat.eigh(np.eye(2))
     assert np.allclose(w, [1.0, 1.0])
