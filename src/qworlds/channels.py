@@ -9,7 +9,7 @@ outcome sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,26 +17,27 @@ from . import qmat
 from .qmat import DimensionMismatchError, _tol, dagger
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """CP map given by Kraus operators, all of shape (d_out, d_in)."""
+    """CP map given by Kraus operators, all of shape (d_out, d_in).
+
+    Immutable, as `BipartiteState` is: `kraus_ops` holds read-only copies of
+    the inputs, and the channel keeps the sum of K^dag K from its
+    construction check.
+    """
 
     kraus_ops: tuple[np.ndarray, ...]
+    _total: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ops = tuple(qmat.as_complex_matrix(k) for k in self.kraus_ops)
+        ops = tuple(qmat._readonly(qmat.as_complex_matrix(k).copy()) for k in self.kraus_ops)
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
         shape = ops[0].shape
         if any(k.shape != shape for k in ops):
             raise DimensionMismatchError("Kraus operators must share one shape")
-        self.kraus_ops = ops
-        total = sum(dagger(k) @ k for k in ops)
-        w = np.linalg.eigvalsh((total + dagger(total)) / 2.0)
-        if float(w.max()) > 1.0 + qmat.tolerance():
-            raise ValueError(
-                f"Kraus set is super-normalized: max eigenvalue of sum K^dag K is {float(w.max())}"
-            )
+        object.__setattr__(self, "kraus_ops", ops)
+        object.__setattr__(self, "_total", qmat._readonly(_kraus_totals(np.vstack(ops), qmat.tolerance())))
 
     @property
     def d_in(self) -> int:
@@ -47,8 +48,29 @@ class KrausChannel:
         return self.kraus_ops[0].shape[0]
 
     def is_trace_preserving(self, tol: float | None = None) -> bool:
-        total = sum(dagger(k) @ k for k in self.kraus_ops)
-        return qmat.frobenius_distance(total, np.eye(self.d_in)) <= _tol(tol) * self.d_in
+        return bool(_trace_preserving(self._total, _tol(tol)))
+
+
+def _subnormalized(s: np.ndarray, t: float):
+    w = np.linalg.eigvalsh((s + dagger(s)) / 2.0)[..., -1]
+    return w <= 1.0 + t, lambda k: ValueError(
+        f"Kraus set is super-normalized: max eigenvalue of sum K^dag K is {float(w[k])}"
+    )
+
+
+def _kraus_totals(rows: np.ndarray, t: float) -> np.ndarray:
+    """Sum of K^dag K for Kraus operators stacked as rows, after the super-normalization check.
+
+    `rows` is (n d_out, d_in), the Kraus operators one under another, or a
+    stack of such sets along the leading axes; rows of zeros add nothing.
+    """
+    return qmat._require_members(dagger(rows) @ rows, t, _subnormalized)
+
+
+def _trace_preserving(totals: np.ndarray, t: float) -> np.ndarray:
+    """Whether each sum of K^dag K is the identity within τ times the input dim."""
+    d = totals.shape[-1]
+    return np.linalg.norm(totals - np.eye(d), axis=(-2, -1)) <= t * d
 
 
 def _projectivity_defect(effects: tuple[np.ndarray, ...], t: float) -> str | None:
@@ -115,35 +137,41 @@ class ProjectiveMeasurement(GeneralizedMeasurement):
         return self.effects
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DephasingChannel:
     """Damp off-diagonal entries in a fixed orthonormal basis by (1 - strength).
 
     `basis` holds the basis vectors as rows. strength 0 is the identity map;
     strength 1 removes the off-diagonal entries in that basis exactly.
+    Immutable: `basis` is a read-only copy of the input.
     """
 
     basis: np.ndarray
     strength: float
 
     def __post_init__(self):
-        self.basis = qmat.require_orthonormal_basis(self.basis)
-        self.strength = float(self.strength)
-        if not 0.0 <= self.strength <= 1.0:
-            raise ValueError(f"strength must lie in [0, 1], got {self.strength}")
+        basis = qmat.require_orthonormal_basis(self.basis)
+        strength = float(self.strength)
+        if not 0.0 <= strength <= 1.0:
+            raise ValueError(f"strength must lie in [0, 1], got {strength}")
+        object.__setattr__(self, "basis", qmat._readonly(basis.copy()))
+        object.__setattr__(self, "strength", strength)
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class NaimarkDilation:
-    """Ancilla-extended projective realization of a POVM."""
+    """Ancilla-extended projective realization of a POVM. Immutable; `embed` is a read-only copy."""
 
     ancilla_dim: int
     joint: ProjectiveMeasurement
     embed: np.ndarray  # isometry from the system space into the joint space
+
+    def __post_init__(self):
+        object.__setattr__(self, "embed", qmat._readonly(np.array(self.embed, dtype=complex)))
 
 
 def apply_nonselective(channel: KrausChannel, rho, tol: float | None = None) -> np.ndarray:
@@ -223,11 +251,15 @@ def dephase(channel: DephasingChannel, rho, tol: float | None = None) -> np.ndar
         )
     if channel.strength == 0.0:
         return rho.copy()
-    b = channel.basis
-    in_basis = np.conj(b) @ rho @ b.T
-    damp = np.full(in_basis.shape, 1.0 - channel.strength)
+    return _dephase(channel.basis, rho, channel.strength)
+
+
+def _dephase(basis: np.ndarray, rho: np.ndarray, strength: float) -> np.ndarray:
+    """`dephase` over the last two axes, unchecked: each rho in the basis rows of its member of `basis`."""
+    in_basis = np.conj(basis) @ rho @ basis.swapaxes(-1, -2)
+    damp = np.full(in_basis.shape[-2:], 1.0 - strength)
     np.fill_diagonal(damp, 1.0)
-    return b.T @ (in_basis * damp) @ np.conj(b)
+    return basis.swapaxes(-1, -2) @ (in_basis * damp) @ np.conj(basis)
 
 
 def _effects_of(m) -> tuple[np.ndarray, ...]:

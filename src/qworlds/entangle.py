@@ -55,12 +55,13 @@ class BipartiteState:
         return float(np.real(np.trace(self.rho @ self.rho)))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
     """Biorthogonal expansion data: psi = sum_k c_k |a_k> |b_k|>.
 
     Coefficients are the nonnegative square roots of the marginal eigenvalues,
     sorted descending; a_basis and b_basis hold the paired vectors as rows.
+    Immutable: the three arrays are read-only copies of the inputs.
     """
 
     coefficients: np.ndarray
@@ -69,18 +70,20 @@ class SchmidtDecomposition:
 
     def __post_init__(self):
         t = qmat.tolerance()
-        c = np.asarray(self.coefficients, dtype=float).reshape(-1)
+        c = np.array(self.coefficients, dtype=float).reshape(-1)
         if c.size == 0:
             raise ValueError("empty Schmidt decomposition")
         if float(c.min()) < -t or np.any(np.diff(c) > t):
             raise ValueError("coefficients must be nonnegative and descending")
         if abs(float(np.sum(c**2)) - 1.0) > t:
             raise ValueError(f"squared coefficients sum to {float(np.sum(c ** 2))}, not 1")
-        self.coefficients = c
-        self.a_basis = qmat.require_orthonormal_rows(self.a_basis, t, "a_basis")
-        self.b_basis = qmat.require_orthonormal_rows(self.b_basis, t, "b_basis")
-        if not len(self.a_basis) == len(self.b_basis) == c.size:
+        a_basis = qmat.require_orthonormal_rows(self.a_basis, t, "a_basis")
+        b_basis = qmat.require_orthonormal_rows(self.b_basis, t, "b_basis")
+        if not len(a_basis) == len(b_basis) == c.size:
             raise DimensionMismatchError(f"a_basis and b_basis need one row per coefficient ({c.size})")
+        object.__setattr__(self, "coefficients", qmat._readonly(c))
+        object.__setattr__(self, "a_basis", qmat._readonly(a_basis.copy()))
+        object.__setattr__(self, "b_basis", qmat._readonly(b_basis.copy()))
 
     @property
     def rank(self) -> int:
@@ -215,8 +218,7 @@ def schmidt(psi, dims: tuple[int, int], tol: float | None = None) -> SchmidtDeco
     s = s[keep]
     a_rows = u.T[keep]
     b_rows = vh[keep]
-    for k, fix in enumerate(qmat._fix_phases(a_rows)):
-        b_rows[k] = b_rows[k] * np.conj(fix)
+    b_rows = b_rows * np.conj(qmat._fix_phases(a_rows))[:, None]
     dec = SchmidtDecomposition(s, a_rows, b_rows)
     if not qmat.vectors_match(dec.vector(), psi, t):
         raise RuntimeError("Schmidt reconstruction failed to match the input vector")

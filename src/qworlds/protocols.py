@@ -18,7 +18,7 @@ import numpy as np
 
 from . import qmat
 from .algebra import BlockAlgebra, is_commutative
-from .channels import KrausChannel
+from .channels import KrausChannel, _trace_preserving
 from .entangle import (
     BipartiteState,
     Ensemble,
@@ -351,20 +351,34 @@ def no_signaling_trial(state: BipartiteState, local_op: KrausChannel, tol: float
     Selective (trace-decreasing) channels are rejected: conditioning on an
     outcome changes the sampled ensemble and is not a locality violation.
     """
-    t = _tol(tol)
     da, db = state.dims
     if local_op.d_in != da or local_op.d_out != da:
         raise DimensionMismatchError(
             f"local channel must act on dim {da}, got {local_op.d_in} -> {local_op.d_out}"
         )
-    if not local_op.is_trace_preserving(t):
-        raise ValueError("selective channel rejected: no-signaling holds for nonselective operations")
-    before = state.marginal_b()
+    rows = np.vstack(local_op.kraus_ops)
+    return float(_marginal_shifts(state.rho, state.dims, rows, local_op._total, _tol(tol)))
+
+
+def _nonselective(totals: np.ndarray, t: float):
+    return _trace_preserving(totals, t), lambda k: ValueError(
+        "selective channel rejected: no-signaling holds for nonselective operations"
+    )
+
+
+def _marginal_shifts(rho, dims: tuple[int, int], kraus_rows, totals, t: float) -> np.ndarray:
+    """`no_signaling_trial` over the last two axes, once the channels act on side A.
+
+    Each channel is given as its Kraus operators one under another (rows of
+    zeros add nothing) and its sum of K^dag K, as `channels._kraus_totals`
+    returns it; leading axes of the three arrays broadcast.
+    """
+    qmat._require_members(totals, t, _nonselective)
+    before = qmat.partial_trace(rho, dims, "B")
     # the Kraus operators stacked into one isometry: tracing out its output
     # sums Tr_A[(K x I) rho (K x I)^dagger] over every K
-    stacked = np.vstack(local_op.kraus_ops)
-    after = qmat.marginal_b_after(stacked, state.rho, (da, db), stacked)
-    return qmat.frobenius_distance(before, after)
+    after = qmat.marginal_b_after(kraus_rows, rho, dims, kraus_rows)
+    return np.linalg.norm(before - after, axis=(-2, -1))
 
 
 def selective_steering_contrast(state: BipartiteState, measurement, tol: float | None = None) -> float:

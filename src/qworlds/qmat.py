@@ -3,6 +3,15 @@
 Everything here works on plain numpy arrays with complex128 entries.
 Vectors are 1-D arrays, operators are square 2-D arrays, and sequences
 of basis vectors are stored as rows of a 2-D array.
+
+The kernels `dagger`, `kron_pairs`, `partial_trace`, `marginal_b_after`
+and `eigh`, and the check `require_orthonormal_rows`, also take a stack of
+operators: they work over the last two axes, and a 2-D operator is a stack
+of one. The public validators (`as_complex_matrix`, `require_hermitian`,
+`require_density`) take one 2-D matrix. Every check is written once, over
+the last two axes, and the single-matrix validators run that same check on
+their one matrix; a stack that fails raises the single-matrix message
+prefixed with the index of the first failing member.
 """
 
 from __future__ import annotations
@@ -48,14 +57,96 @@ def _tol(tol: float | None) -> float:
     return _tolerance if tol is None else float(tol)
 
 
+def _operands(entries, stack: bool) -> np.ndarray:
+    """Complex array of one matrix, or with `stack` of a stack of matrices; shape only."""
+    m = np.asarray(entries, dtype=complex)
+    if (m.ndim < 2 if stack else m.ndim != 2) or 0 in m.shape:
+        what = "matrix or stack of matrices" if stack else "2-D matrix"
+        raise ValueError(f"expected a nonempty {what}, got shape {m.shape}")
+    return m
+
+
+def _require_members(m: np.ndarray, t: float, *checks) -> np.ndarray:
+    """Return `m`, a matrix or a stack of matrices, if every member passes every check.
+
+    A check maps `s`, one matrix or a stack of shape (n, r, c), and τ to
+    whether each member passes it (a scalar for one matrix) and a function
+    giving, for member k (`()` for one matrix), the failure as an exception
+    with the single-matrix message. Each member meets the checks in order and
+    only while it passes, so a stack fails where a loop over its members
+    would fail first. For a stack the message names the member.
+    """
+    s = m if m.ndim <= 3 else m.reshape((-1,) + m.shape[-2:])
+    single = s.ndim == 2
+    first, failure = None, None
+    for check in checks:
+        ok, fail = check(s, t)
+        # a numpy bool tests as fast as a Python one; ok.all() costs microseconds
+        if ok if single else np.count_nonzero(ok) == len(s):
+            continue
+        first = () if single else int(np.argmin(ok))
+        failure = fail(first)
+        if first in ((), 0):
+            break
+        s = s[:first]  # later checks only need the members before this failure
+    if failure is None:
+        return m
+    if single:
+        raise failure
+    raise type(failure)(f"stack member {first}: {failure}")
+
+
+def _finite(s: np.ndarray, t: float):
+    return np.isfinite(s).all(axis=(-2, -1)), lambda k: _nonfinite_error()
+
+
+def _nonfinite_error() -> ValueError:
+    return ValueError("matrix contains NaN or Inf entries")
+
+
+def _hermitian(s: np.ndarray, t: float):
+    """Finite entries, a square shape, and Hermiticity within τ, checked in that order.
+
+    One pass serves all three: a non-finite entry makes the deviation from
+    Hermiticity NaN or infinite, which fails the comparison with τ, so
+    finiteness is only looked at to word a failure.
+    """
+    if s.shape[-2] != s.shape[-1]:
+        ok = np.zeros(s.shape[:-2], dtype=bool)
+        failure = DimensionMismatchError(f"operator must be square, got shape {s.shape[-2:]}")
+        return ok, lambda k: failure if np.isfinite(s[k]).all() else _nonfinite_error()
+    dev = abs(s - dagger(s)).max(axis=(-2, -1))
+    return dev <= t, lambda k: (
+        ValueError(f"operator deviates from Hermiticity by {float(dev[k])}")
+        if np.isfinite(s[k]).all()
+        else _nonfinite_error()
+    )
+
+
+def _unit_trace(s: np.ndarray, t: float):
+    tr = s.trace(0, -2, -1).real
+    return (
+        abs(tr - 1.0) <= t,
+        lambda k: ValueError(f"density operator trace {float(tr[k])} is not 1 within tolerance"),
+    )
+
+
+def _positive(name: str):
+    """Check that the Hermitian part of each member has no eigenvalue below -τ."""
+
+    def check(s: np.ndarray, t: float):
+        w = np.linalg.eigvalsh((s + dagger(s)) / 2.0)[..., 0]
+        return w >= -t, lambda k: ValueError(f"{name} has negative eigenvalue {float(w[k])}")
+
+    return check
+
+
+_DENSITY = (_hermitian, _unit_trace, _positive("density operator"))
+
+
 def as_complex_matrix(entries) -> np.ndarray:
     """Coerce to a 2-D complex matrix, rejecting non-finite entries."""
-    m = np.asarray(entries, dtype=complex)
-    if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] == 0:
-        raise ValueError(f"expected a nonempty 2-D matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix contains NaN or Inf entries")
-    return m
+    return _require_members(_operands(entries, stack=False), 0.0, _finite)
 
 
 def as_unit_vector(amplitudes, tol: float | None = None) -> np.ndarray:
@@ -72,35 +163,27 @@ def as_unit_vector(amplitudes, tol: float | None = None) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(np.asarray(m)).T
+    """Conjugate transpose over the last two axes."""
+    return np.conj(m).swapaxes(-1, -2)
 
 
 def require_hermitian(m, tol: float | None = None) -> np.ndarray:
-    m = as_complex_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"operator must be square, got shape {m.shape}")
-    dev = float(np.abs(m - m.conj().T).max())
-    if dev > _tol(tol):
-        raise ValueError(f"operator deviates from Hermiticity by {dev}")
-    return m
+    return _require_members(_operands(m, stack=False), _tol(tol), _hermitian)
 
 
 def require_density(rho, tol: float | None = None) -> np.ndarray:
     """Validate a density operator: Hermitian, PSD, and unit trace within tolerance."""
-    t = _tol(tol)
-    rho = require_hermitian(rho, t)
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > t:
-        raise ValueError(f"density operator trace {tr} is not 1 within tolerance")
-    _require_psd(rho, t, "density operator")
-    return rho
+    return _require_members(_operands(rho, stack=False), _tol(tol), *_DENSITY)
+
+
+def _require_densities(rho, t: float) -> np.ndarray:
+    """`require_density` for a stack of density operators along the leading axes."""
+    return _require_members(_operands(rho, stack=True), t, *_DENSITY)
 
 
 def _require_psd(m: np.ndarray, t: float, name: str) -> None:
     """Raise unless the Hermitian part of `m` has no eigenvalue below -t."""
-    w = np.linalg.eigvalsh((m + dagger(m)) / 2.0)
-    if float(w.min()) < -t:
-        raise ValueError(f"{name} has negative eigenvalue {float(w.min())}")
+    _require_members(m, t, _positive(name))
 
 
 def projector(v) -> np.ndarray:
@@ -117,23 +200,37 @@ def tensor(*factors) -> np.ndarray:
     return reduce(np.kron, mats)
 
 
+def kron_pairs(a, b) -> np.ndarray:
+    """Kronecker product of matching members of two stacks, A index major.
+
+    Over the last two axes, so two matrices give `np.kron(a, b)` bit for bit;
+    the leading axes broadcast.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    (ra, ca), (rb, cb) = a.shape[-2:], b.shape[-2:]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (ra * rb, ca * cb))
+
+
 def partial_trace(m, dims: tuple[int, int], keep) -> np.ndarray:
     """Trace out one tensor factor of a bipartite operator, keeping the other.
 
     `dims` is (dA, dB) with the A index major; `keep` names the surviving
-    subsystem, "A" or "B". The total trace is preserved.
+    subsystem, "A" or "B". The total trace is preserved. Over the last two
+    axes: a stack of operators gives the stack of their partial traces.
     """
-    m = as_complex_matrix(m)
+    m = _require_members(_operands(m, stack=True), 0.0, _finite)
     da, db = int(dims[0]), int(dims[1])
-    if m.shape != (da * db, da * db):
+    if m.shape[-2:] != (da * db, da * db):
         raise DimensionMismatchError(
             f"operator of shape {m.shape} does not match subsystem dims {da}x{db}"
         )
-    t = m.reshape(da, db, da, db)
+    t = m.reshape(m.shape[:-2] + (da, db, da, db))
     if keep == "A":
-        return np.einsum("ijkj->ik", t)
+        return t.trace(0, -3, -1)
     if keep == "B":
-        return np.einsum("ijil->jl", t)
+        return t.trace(0, -4, -2)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
@@ -144,64 +241,69 @@ def marginal_b_after(left, rho, dims: tuple[int, int], right=None) -> np.ndarray
     have shape (m, dA): they map A into an m-dimensional space that is traced
     out, so a stack of Kraus operators gives the sum over its branches.
     `right=None` gives Tr_A[(L x I) rho] and needs a square L. The cost is
-    O(m dA^2 dB^2), against O(dA^3 dB^3) for multiplying by L x I. Shapes
-    are checked, entries are not: pass operators that were validated.
+    O(m dA^2 dB^2), against O(dA^3 dB^3) for multiplying by L x I. Over the
+    last two axes: leading axes of L, rho and R broadcast. Shapes are
+    checked, entries are not: pass operators that were validated.
     """
     da, db = int(dims[0]), int(dims[1])
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (da * db, da * db):
+    if rho.ndim < 2 or rho.shape[-2:] != (da * db, da * db):
         raise DimensionMismatchError(
             f"operator of shape {rho.shape} does not match subsystem dims {da}x{db}"
         )
     left = np.asarray(left, dtype=complex)
-    if left.ndim != 2 or left.shape[1] != da:
+    if left.ndim < 2 or left.shape[-1] != da:
         raise DimensionMismatchError(f"operator of shape {left.shape} does not act on side A of dim {da}")
-    # rows of rho.reshape(da, -1) are the A row index: L acts on it alone
-    lr = (left @ rho.reshape(da, -1)).reshape(left.shape[0], db, da, db)
+    # rows of rho's (dA, dB dA dB) view are the A row index: L acts on it alone
+    lr = left @ rho.reshape(rho.shape[:-2] + (da, -1))
+    lr = lr.reshape(lr.shape[:-2] + (left.shape[-2], db, da, db))
     if right is None:
-        if left.shape[0] != da:
+        if left.shape[-2] != da:
             raise DimensionMismatchError(f"operator of shape {left.shape} is not square")
-        return np.einsum("ajal->jl", lr)
+        return lr.trace(0, -4, -2)
     right = np.asarray(right, dtype=complex)
-    if right.shape != left.shape:
+    if right.shape[-2:] != left.shape[-2:]:
         raise DimensionMismatchError(
             f"right operator of shape {right.shape} does not match left operator of shape {left.shape}"
         )
-    return np.einsum("ajkl,ak->jl", lr, right.conj())
+    return np.einsum("...ajkl,...ak->...jl", lr, right.conj())
 
 
 def eigh(h, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian operator.
+    """Eigendecomposition of a Hermitian operator, or of each in a stack.
 
     Returns (eigenvalues, eigenvectors) with eigenvalues sorted descending and
     eigenvectors as the corresponding columns. The output is deterministic:
     LAPACK ordering plus a phase fix that makes the largest-magnitude component
-    of each eigenvector real and nonnegative.
+    of each eigenvector real and nonnegative. Over the last two axes, with
+    the Hermiticity check of `require_hermitian` for each member.
     """
-    m = require_hermitian(h, tol)
+    m = _require_members(_operands(h, stack=True), _tol(tol), _hermitian)
     m = (m + dagger(m)) / 2.0
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
-    w = w[::-1].astype(float)
-    v = v[:, ::-1]
-    _fix_phases(v.T)
+    w = w[..., ::-1].astype(float)
+    v = v[..., ::-1]
+    _fix_phases(v.swapaxes(-1, -2))
     return w, v
 
 
-def _fix_phases(rows: np.ndarray) -> list:
+def _fix_phases(rows: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude entry a of each row real and nonnegative, in place.
 
-    Returns the factor conj(a)/|a| applied to each row (1 for a zero row), so
-    a paired basis can take in its conjugate.
+    Over the last two axes. Returns the factor conj(a)/|a| applied to each
+    row (1 for a zero row), so a paired basis can take in its conjugate.
     """
-    fixes = []
-    for k, row in enumerate(rows):
-        a = row[int(np.argmax(np.abs(row)))]
-        fixes.append(np.conj(a) / abs(a) if abs(a) > 0.0 else 1.0)
-        rows[k] = row * fixes[k]  # not `*=`: numpy's in-place loop can round differently
-    return fixes
+    flat = rows.reshape(-1, rows.shape[-1])
+    a = flat[np.arange(len(flat)), np.abs(flat).argmax(axis=-1)].reshape(rows.shape[:-1] + (1,))
+    # |a| as the scalar abs computes it (hypot): numpy's vectorized complex
+    # abs can differ from it in the last bit
+    size = np.hypot(a.real, a.imag)
+    fixes = np.divide(np.conj(a), size, out=np.ones(a.shape, dtype=complex), where=size > 0.0)
+    rows[...] = rows * fixes  # not `*=`: numpy's in-place loop can round differently
+    return fixes[..., 0]
 
 
 def frobenius_distance(a, b=None) -> float:
@@ -217,13 +319,24 @@ def fidelity_to_vector(v, rho) -> float:
     return float(np.real(np.conj(v) @ np.asarray(rho, dtype=complex) @ v))
 
 
+def _orthonormal(name: str):
+    """Check that the rows of each member are orthonormal within τ times their count."""
+
+    def check(s: np.ndarray, t: float):
+        n = s.shape[-2]
+        gram = np.conj(s) @ s.swapaxes(-1, -2)
+        dev = np.linalg.norm(gram - np.eye(n), axis=(-2, -1))
+        return dev <= t * n, lambda k: ValueError(f"{name} rows are not orthonormal")
+
+    return check
+
+
 def require_orthonormal_rows(basis, tol: float | None = None, name: str = "basis") -> np.ndarray:
-    """Coerce to a complex array whose rows are orthonormal within tolerance."""
-    b = np.asarray(basis, dtype=complex)
-    gram = np.conj(b) @ b.T
-    if frobenius_distance(gram, np.eye(b.shape[0])) > _tol(tol) * b.shape[0]:
-        raise ValueError(f"{name} rows are not orthonormal")
-    return b
+    """Coerce to a complex array whose rows are orthonormal within tolerance.
+
+    Over the last two axes: each member of a stack of bases is checked.
+    """
+    return _require_members(_operands(basis, stack=True), _tol(tol), _orthonormal(name))
 
 
 def require_orthonormal_basis(basis, tol: float | None = None) -> np.ndarray:

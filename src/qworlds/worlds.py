@@ -1,11 +1,12 @@
 """Physics backends and the three-constraint scenario battery.
 
 A World decides what separation does to a shared pair: nothing (quantum),
-basis dephasing of a given strength in the pair's biorthogonal product basis
-(dephased), or forced diagonality in the fixed computational product basis
-(classical). `evaluate_constraints` runs a fixed seeded battery of signaling,
-broadcasting, and bit-commitment scenarios in a world and reports which of the
-three constraints hold there, each with its concrete witness.
+basis dephasing of a given strength in the product of the pair's marginal
+eigenbases (dephased; see `World.separation_basis`), or forced diagonality in
+the fixed computational product basis (classical). `evaluate_constraints` runs
+a fixed seeded battery of signaling, broadcasting, and bit-commitment
+scenarios in a world and reports which of the three constraints hold there,
+each with its concrete witness.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ import numpy as np
 
 from . import qmat
 from .algebra import BlockAlgebra, broadcast_check, classical_broadcaster
-from .channels import DephasingChannel, KrausChannel, dephase
+from .channels import _dephase, _kraus_totals
 from .entangle import BipartiteState
-from .protocols import REPORT_EDGE, classical_unique_decomposition, commitment_round, no_signaling_trial
+from .protocols import REPORT_EDGE, _marginal_shifts, classical_unique_decomposition, commitment_round
+from .qmat import dagger
 
 _WORLD_KINDS = ("classical", "quantum", "dephased")
 
@@ -55,13 +57,15 @@ class World:
     def separation_basis(self, state: BipartiteState) -> np.ndarray:
         """Product basis rows (A eigenbasis x B eigenbasis) used for dephasing.
 
-        For a pure state this is its Schmidt product basis; for mixed states the
-        marginal eigenbases are used, with degeneracies resolved by the
-        deterministic eigendecomposition ordering.
+        The rows are the Kronecker products of the eigenvectors of the two
+        marginals, from the deterministic `qmat.eigh` ordering and phases.
+        This is the marginal rule for every state, pure or mixed. For a pure
+        state it is the Schmidt product basis only when no marginal
+        eigenvalue is degenerate; a degenerate pure pair such as
+        (|0+> + |1->)/sqrt(2) gets two unrelated marginal bases instead of
+        its Schmidt pairs (ROADMAP item 4).
         """
-        _, va = qmat.eigh(state.marginal_a())
-        _, vb = qmat.eigh(state.marginal_b())
-        return np.kron(va.T, vb.T)
+        return _separation_basis(state.rho, state.dims)
 
     def separate(self, state: BipartiteState) -> BipartiteState:
         """Transform a shared pair as the world's separation process dictates.
@@ -70,14 +74,21 @@ class World:
         damped by (1 - strength); both marginals survive exactly. Classical:
         full dephasing in the computational product basis.
         """
-        if self.kind == "quantum":
-            return state
-        if self.kind == "dephased":
-            if self.strength == 0.0:
-                return state
-            channel = DephasingChannel(self.separation_basis(state), self.strength)
-            return BipartiteState(dephase(channel, state.rho), state.dims)
-        return BipartiteState(np.diag(np.diag(state.rho)), state.dims)
+        rho = self._separated(state.rho, state.dims)
+        return state if rho is state.rho else BipartiteState(rho, state.dims)
+
+    def _separated(self, rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+        """The separation rule on validated density operators, over the last two axes.
+
+        Returns `rho` itself where the world leaves it unchanged; a new output
+        is not yet checked as a density operator.
+        """
+        if self.kind == "classical":
+            return _diagonal_part(rho)
+        if self.strength == 0.0:
+            return rho
+        basis = qmat.require_orthonormal_rows(_separation_basis(rho, dims))
+        return _dephase(basis, rho, self.strength)
 
     def transmit(self, rho: np.ndarray) -> np.ndarray:
         """Transform a lone state handed from one party to the other.
@@ -89,8 +100,24 @@ class World:
         """
         rho = qmat.require_density(rho)
         if self.kind == "classical":
-            return np.diag(np.diag(rho))
+            return _diagonal_part(rho)
         return rho
+
+
+def _separation_basis(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """`World.separation_basis` over the last two axes of a stack of density operators."""
+    _, va = qmat.eigh(qmat.partial_trace(rho, dims, "A"))
+    _, vb = qmat.eigh(qmat.partial_trace(rho, dims, "B"))
+    return qmat.kron_pairs(va.swapaxes(-1, -2), vb.swapaxes(-1, -2))
+
+
+def _diagonal_part(rho: np.ndarray) -> np.ndarray:
+    """Each operator's diagonal, with the off-diagonal entries set to zero, over the last two axes."""
+    d = rho.shape[-1]
+    out = np.zeros(rho.shape, dtype=rho.dtype)
+    # every (d + 1)-th entry of a flattened d x d matrix is on its diagonal
+    out.reshape(rho.shape[:-2] + (-1,))[..., :: d + 1] = rho.reshape(rho.shape[:-2] + (-1,))[..., :: d + 1]
+    return out
 
 
 @dataclass(frozen=True)
@@ -112,36 +139,68 @@ class ConstraintReport:
         }
 
 
+def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """Complex Gaussian matrix: the real parts drawn first, then the imaginary parts."""
+    z = rng.normal(size=(2, rows, cols))
+    return z[0] + 1j * z[1]
+
+
+def _normalized_gram(z: np.ndarray) -> np.ndarray:
+    """z z^dagger over its trace, over the last two axes: a random density operator."""
+    m = z @ dagger(z)
+    return m / m.trace(0, -2, -1).real[..., None, None]
+
+
 def _random_density(rng: np.random.Generator, d: int) -> np.ndarray:
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    m = z @ np.conj(z).T
-    return m / float(np.trace(m).real)
+    return _normalized_gram(_ginibre(rng, d, d))
 
 
 def _random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(_ginibre(rng, d, d))
     ph = np.diag(r).copy()
     ph = ph / np.abs(ph)
     return q * ph
 
 
-def _random_channel(rng: np.random.Generator, d: int, n_kraus: int) -> KrausChannel:
-    z = rng.normal(size=(d * n_kraus, d)) + 1j * rng.normal(size=(d * n_kraus, d))
-    q, _ = np.linalg.qr(z)
-    return KrausChannel(tuple(q[i * d : (i + 1) * d, :] for i in range(n_kraus)))
+def _isometry_rows(blocks: list[np.ndarray], rows: int) -> np.ndarray:
+    """The isometries from QR of each Ginibre block, zero-padded to `rows` rows, as one stack.
+
+    An isometry's row blocks are the Kraus operators of a trace-preserving
+    channel, and zero rows add no branch. Blocks of one shape share one
+    stacked QR.
+    """
+    out = np.zeros((len(blocks), rows, blocks[0].shape[1]), dtype=complex)
+    for n in sorted({len(b) for b in blocks}):
+        same = [i for i, b in enumerate(blocks) if len(b) == n]
+        out[same, :n] = np.linalg.qr(np.stack([blocks[i] for i in same]))[0]
+    return out
 
 
 def _signaling_battery(world: World, rng: np.random.Generator) -> tuple[bool, dict]:
+    """No-signaling sweep: 10 seeded (state, channel) trials for each dims pair, run as one stack.
+
+    Each trial draws its state, its Kraus count (1 to 3) and its channel, in
+    that order. Every check of a single trial (state density, separation,
+    output density, Kraus normalization, trace preservation) runs once on
+    the whole stack.
+    """
+    t = qmat.tolerance()
     max_dist = 0.0
     trials = 0
     for dims in ((2, 2), (2, 3)):
+        da, d = dims[0], dims[0] * dims[1]
+        states, blocks = [], []
         for _ in range(10):
-            rho = _random_density(rng, dims[0] * dims[1])
-            state = world.separate(BipartiteState(rho, dims))
-            channel = _random_channel(rng, dims[0], int(rng.integers(1, 4)))
-            max_dist = max(max_dist, no_signaling_trial(state, channel))
-            trials += 1
+            states.append(_ginibre(rng, d, d))
+            blocks.append(_ginibre(rng, da * int(rng.integers(1, 4)), da))
+        rho = qmat._require_densities(_normalized_gram(np.stack(states)), t)
+        separated = world._separated(rho, dims)
+        if separated is not rho:
+            qmat._require_densities(separated, t)
+        kraus_rows = _isometry_rows(blocks, 3 * da)
+        shifts = _marginal_shifts(separated, dims, kraus_rows, _kraus_totals(kraus_rows, t), t)
+        max_dist = max(max_dist, float(shifts.max()))
+        trials += len(shifts)
     witness = {"trials": trials, "max_marginal_distance": max_dist, "dims": [[2, 2], [2, 3]]}
     return max_dist > REPORT_EDGE, witness
 

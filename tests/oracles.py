@@ -1,12 +1,17 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately written with plain loops or closed forms,
-separate from the library code paths it checks.
+separate from the library code paths it checks. The one exception is the
+reference for a stacked path: the per-item library calls that it replaces.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from qworlds.channels import KrausChannel
+from qworlds.entangle import BipartiteState
+from qworlds.protocols import no_signaling_trial
 
 
 def rand_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -180,3 +185,23 @@ def chsh_grid_max(rho4: np.ndarray, step_degrees: float = 1.0) -> float:
         g_min = np.minimum(g_min, g.min(axis=0))
     best = max(float((f_max + g_max).max()), float(-(f_min + g_min).min()))
     return best
+
+
+def signaling_battery_by_trials(world, rng: np.random.Generator) -> tuple[bool, dict]:
+    """The no-signaling sweep of `worlds.evaluate_constraints`, one trial at a time.
+
+    Each trial builds its own BipartiteState, separates it through
+    `world.separate`, builds its own KrausChannel and calls
+    `no_signaling_trial`, with the random draws in the battery's order.
+    """
+    max_dist = 0.0
+    trials = 0
+    for dims in ((2, 2), (2, 3)):
+        for _ in range(10):
+            rho = rand_density(rng, dims[0] * dims[1])
+            state = world.separate(BipartiteState(rho, dims))
+            channel = KrausChannel(tuple(rand_channel(rng, dims[0], int(rng.integers(1, 4)))))
+            max_dist = max(max_dist, no_signaling_trial(state, channel))
+            trials += 1
+    witness = {"trials": trials, "max_marginal_distance": max_dist, "dims": [[2, 2], [2, 3]]}
+    return max_dist > 1e-10, witness

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qworlds import qmat
 from qworlds.channels import (
+    _dephase,
     DephasingChannel,
     GeneralizedMeasurement,
     KrausChannel,
@@ -16,7 +19,7 @@ from qworlds.channels import (
     sample_outcome,
     unitary_channel,
 )
-from qworlds.entangle import SteeringExampleConfig, bell_basis, singlet_vector, steering_states
+from qworlds.entangle import SteeringExampleConfig, bell_basis, schmidt, singlet_vector, steering_states
 
 from tests.oracles import dephase_by_loops, rand_channel, rand_density, rand_unitary
 
@@ -208,6 +211,9 @@ def test_dephase_validation():
     channel = DephasingChannel(np.eye(2, dtype=complex), 0.5)
     with pytest.raises(qmat.DimensionMismatchError):
         dephase(channel, np.eye(3, dtype=complex) / 3)
+    # a NaN deviation from orthonormality fails the check rather than slipping past it
+    with pytest.raises(ValueError, match="basis rows are not orthonormal"):
+        DephasingChannel(np.full((2, 2), np.nan, dtype=complex), 0.5)
 
 
 def test_sample_outcome_certain_result():
@@ -273,3 +279,35 @@ def test_sample_outcome_povm_luders_update():
     root = np.sqrt(0.5) * qmat.projector(v)
     p = float(np.real(np.trace(effects[index] @ rho)))
     assert np.allclose(post, root @ rho @ root / p, atol=1e-12)
+
+
+def test_stacked_dephasing_matches_per_channel_calls_bit_for_bit():
+    rng = np.random.default_rng(59)
+    for d in (2, 4, 6):
+        bases = np.stack([rand_unitary(rng, d).T for _ in range(5)])
+        rho = np.stack([rand_density(rng, d) for _ in range(5)])
+        for lam in (0.37, 1.0):
+            want = [dephase(DephasingChannel(b, lam), r) for b, r in zip(bases, rho)]
+            assert np.array_equal(_dephase(bases, rho, lam), want)
+
+
+def test_channels_and_schmidt_data_are_immutable_and_leave_the_callers_arrays_writeable():
+    eye = np.eye(2, dtype=complex)
+    dec = schmidt(singlet_vector(), (2, 2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dec.a_basis = dec.a_basis[:1]  # would give vector() a norm of 0.707
+    k = KrausChannel((eye,))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        k.kraus_ops = (2 * eye,)  # super-normalized, past the construction check
+    dephasing = DephasingChannel(eye, 0.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dephasing.strength = 7.0
+    dilation = dilate_povm(GeneralizedMeasurement((0.5 * eye, 0.5 * eye)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dilation.embed = np.zeros((4, 2))
+    for array in (k.kraus_ops[0], dec.a_basis, dec.b_basis, dec.coefficients, dephasing.basis, dilation.embed):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 2.0
+    assert k.is_trace_preserving()
+    eye[0, 0] = 3.0  # the caller's array is a separate, writeable copy
+    assert k.kraus_ops[0][0, 0] == 1.0 and dephasing.basis[0, 0] == 1.0

@@ -79,6 +79,9 @@ def test_schmidt_decomposition_needs_one_row_per_coefficient():
         SchmidtDecomposition([SQRT_HALF, SQRT_HALF], np.eye(2)[:1], np.eye(2))
     with pytest.raises(qmat.DimensionMismatchError):
         SchmidtDecomposition([SQRT_HALF, SQRT_HALF], np.eye(2), np.eye(3)[:1])
+    # a basis given as one flat vector is malformed input, not an IndexError
+    with pytest.raises(ValueError, match="expected a nonempty matrix"):
+        SchmidtDecomposition([1.0], [1, 0], [1, 0])
 
 
 def test_purify_pure_state_is_product():

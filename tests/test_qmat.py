@@ -227,3 +227,67 @@ def test_marginal_b_after_dimension_mismatch():
         qmat.marginal_b_after(op, rho, (2, 3), np.ones((4, 2)))  # R shape differs from L
     with pytest.raises(qmat.DimensionMismatchError):
         qmat.marginal_b_after(np.ones((4, 2)), rho, (2, 3))  # Tr_A[(L x I) rho] needs square L
+
+
+def test_stacked_kernels_match_per_item_calls_bit_for_bit():
+    rng = np.random.default_rng(43)
+    for da, db in ((2, 2), (2, 3), (3, 2), (4, 4)):
+        n = 7
+        rho = np.stack([rand_density(rng, da * db) for _ in range(n)])
+        for keep in ("A", "B"):
+            want = [qmat.partial_trace(r, (da, db), keep) for r in rho]
+            assert np.array_equal(qmat.partial_trace(rho, (da, db), keep), want)
+        tall = np.stack([_rand_op(rng, 3 * da, da) for _ in range(n)])
+        want = [qmat.marginal_b_after(k, r, (da, db), k) for k, r in zip(tall, rho)]
+        assert np.array_equal(qmat.marginal_b_after(tall, rho, (da, db), tall), want)
+        square = tall[:, :da]
+        want = [qmat.marginal_b_after(k, r, (da, db)) for k, r in zip(square, rho)]
+        assert np.array_equal(qmat.marginal_b_after(square, rho, (da, db)), want)
+        w, v = qmat.eigh(rho)
+        per_item = [qmat.eigh(r) for r in rho]
+        assert np.array_equal(w, [x for x, _ in per_item])
+        assert np.array_equal(v, [y for _, y in per_item])
+        a, b = tall[:, :da], np.stack([_rand_op(rng, db, db) for _ in range(n)])
+        assert np.array_equal(qmat.kron_pairs(a, b), [np.kron(x, y) for x, y in zip(a, b)])
+
+
+def _bad_members(rng):
+    good = rand_density(rng, 4)
+    nonhermitian = good.copy()
+    nonhermitian[0, 1] += 0.1
+    nan = good.copy()
+    nan[1, 1] = np.nan
+    return {
+        "nonhermitian": nonhermitian,
+        "trace": 1.2 * good,
+        "negative": np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex),
+        "nan": nan,
+    }
+
+
+@pytest.mark.parametrize("defect", ["nonhermitian", "trace", "negative", "nan"])
+@pytest.mark.parametrize("position", [0, 3, 6])
+def test_stacked_density_check_names_the_bad_member_with_the_single_matrix_message(defect, position):
+    rng = np.random.default_rng(47)
+    bad = _bad_members(rng)[defect]
+    stack = np.stack([rand_density(rng, 4) for _ in range(7)])
+    stack[position] = bad
+    with pytest.raises(ValueError) as single:
+        qmat.require_density(bad)
+    with pytest.raises(type(single.value)) as stacked:
+        qmat._require_densities(stack, qmat.tolerance())
+    assert str(stacked.value) == f"stack member {position}: {single.value}"
+
+
+def test_stacked_density_check_fails_where_a_loop_over_the_members_fails_first():
+    rng = np.random.default_rng(53)
+    bad = _bad_members(rng)
+    stack = np.stack([rand_density(rng, 4) for _ in range(7)])
+    # member 2 fails a late check (PSD), member 5 an early one (finiteness)
+    stack[2], stack[5] = bad["negative"], bad["nan"]
+    with pytest.raises(ValueError, match=r"^stack member 2: density operator has negative eigenvalue"):
+        qmat._require_densities(stack, qmat.tolerance())
+    # the public validator keeps its 2-D contract
+    with pytest.raises(ValueError, match="expected a nonempty 2-D matrix"):
+        qmat.require_density(stack)
+    qmat._require_densities(np.delete(stack, [2, 5], axis=0), qmat.tolerance())

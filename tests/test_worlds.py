@@ -3,9 +3,9 @@ import pytest
 
 from qworlds import qmat
 from qworlds.entangle import BipartiteState, epr_singlet, negativity, purify, singlet_vector
-from qworlds.worlds import World, evaluate_constraints
+from qworlds.worlds import World, _signaling_battery, evaluate_constraints
 
-from tests.oracles import dephase_by_loops, rand_density
+from tests.oracles import dephase_by_loops, rand_density, signaling_battery_by_trials
 
 SQRT_HALF = 1 / np.sqrt(2)
 
@@ -129,3 +129,22 @@ def test_battery_is_seed_deterministic():
     a = evaluate_constraints(World.dephased(1.0), rng_seed=123)
     b = evaluate_constraints(World.dephased(1.0), rng_seed=123)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "world",
+    [World.quantum(), World.dephased(0.0), World.dephased(0.37), World.dephased(1.0), World.classical()],
+    ids=["quantum", "dephased-0", "dephased-0.37", "dephased-1", "classical"],
+)
+def test_stacked_signaling_battery_matches_the_per_trial_loop(world):
+    for seed in range(50):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        possible, witness = _signaling_battery(world, rng)
+        ref_possible, ref_witness = signaling_battery_by_trials(world, ref_rng)
+        assert possible == ref_possible
+        assert witness["trials"] == ref_witness["trials"] == 20
+        assert witness["dims"] == ref_witness["dims"]
+        gap = abs(witness["max_marginal_distance"] - ref_witness["max_marginal_distance"])
+        assert gap <= 1e-14
+        # the later batteries draw from the same generator state
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
