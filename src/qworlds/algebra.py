@@ -14,7 +14,7 @@ import numpy as np
 
 from . import qmat
 from .channels import KrausChannel, apply_nonselective
-from .qmat import DimensionMismatchError, _tol, dagger
+from .qmat import DimensionMismatchError, dagger
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,13 @@ def is_commutative(algebra: BlockAlgebra) -> bool:
     return all(d == 1 for d in algebra.block_dims)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class AlgebraState:
-    """Positive normalized functional: block weights plus one density per block."""
+    """Positive normalized functional: block weights plus one density per block.
+
+    Immutable, as `Ensemble` is: `weights` and each density are read-only
+    copies of the inputs, and the caller's arrays stay writeable.
+    """
 
     algebra: BlockAlgebra
     weights: np.ndarray
@@ -51,7 +55,7 @@ class AlgebraState:
 
     def __post_init__(self):
         t = qmat.tolerance()
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
+        w = np.array(self.weights, dtype=float).reshape(-1)
         if w.size != len(self.algebra.block_dims):
             raise DimensionMismatchError("one weight per block is required")
         if float(w.min()) < -t:
@@ -60,16 +64,17 @@ class AlgebraState:
             raise ValueError(f"block weights sum to {float(w.sum())}, not 1")
         ds = []
         for k, (d, dim) in enumerate(zip(self.densities, self.algebra.block_dims)):
-            d = qmat.require_density(d, t)
+            d = qmat.require_density(d)
             if d.shape != (dim, dim):
                 raise DimensionMismatchError(
                     f"block {k} density has shape {d.shape}, expected {(dim, dim)}"
                 )
-            ds.append(d)
+            # require_density may return the caller's own array: copy before freezing
+            ds.append(qmat._readonly(d.copy()))
         if len(ds) != len(self.algebra.block_dims):
             raise DimensionMismatchError("one density per block is required")
-        self.weights = w
-        self.densities = tuple(ds)
+        object.__setattr__(self, "weights", qmat._readonly(w))
+        object.__setattr__(self, "densities", tuple(ds))
 
     def to_density(self) -> np.ndarray:
         """Block-diagonal density operator on the direct-sum space."""
@@ -91,9 +96,9 @@ def classical_state(weights) -> AlgebraState:
     return AlgebraState(algebra, w, tuple(one for _ in range(w.size)))
 
 
-def is_pure_state(state: AlgebraState, tol: float | None = None) -> bool:
+def is_pure_state(state: AlgebraState) -> bool:
     """True iff exactly one block carries weight 1 and its density is idempotent."""
-    t = _tol(tol)
+    t = qmat.tolerance()
     heavy = [k for k, w in enumerate(state.weights) if w > t]
     if len(heavy) != 1 or abs(float(state.weights[heavy[0]]) - 1.0) > t:
         return False
@@ -101,9 +106,9 @@ def is_pure_state(state: AlgebraState, tol: float | None = None) -> bool:
     return qmat.frobenius_distance(d @ d, d) <= t * d.shape[0]
 
 
-def kinematically_independent(a_ops, b_ops, tol: float | None = None) -> bool:
+def kinematically_independent(a_ops, b_ops) -> bool:
     """True iff every listed A operator commutes with every listed B operator."""
-    t = _tol(tol)
+    t = qmat.tolerance()
     a_ops = [qmat.as_complex_matrix(a) for a in a_ops]
     b_ops = [qmat.as_complex_matrix(b) for b in b_ops]
     dims = {m.shape for m in a_ops + b_ops}
@@ -117,13 +122,13 @@ def kinematically_independent(a_ops, b_ops, tol: float | None = None) -> bool:
     return True
 
 
-def classical_broadcaster(basis, tol: float | None = None) -> KrausChannel:
+def classical_broadcaster(basis) -> KrausChannel:
     """Universal broadcaster for states diagonal in `basis`.
 
     Measures in the basis and prepares two copies of the observed basis state:
     rho -> sum_i <i|rho|i> |i><i| x |i><i|. Trace preserving by construction.
     """
-    b = qmat.require_orthonormal_basis(basis, tol)
+    b = qmat.require_orthonormal_basis(basis)
     ops = []
     for i in range(b.shape[0]):
         v = b[i]
@@ -136,26 +141,24 @@ class BroadcastCheck(NamedTuple):
     deviation: float
 
 
-def broadcast_check(channel: KrausChannel, rho, tol: float | None = None) -> BroadcastCheck:
+def broadcast_check(channel: KrausChannel, rho) -> BroadcastCheck:
     """Test whether a one-in/two-out channel broadcasts `rho`.
 
     ok is True iff both marginals of the channel output equal the input within
     tolerance; deviation is the larger Frobenius distance of the two marginals
-    from the input.
+    from the input. `apply_nonselective` validates `rho` against the channel.
     """
-    t = _tol(tol)
-    rho = qmat.require_density(rho, t)
-    d = rho.shape[0]
-    if channel.d_in != d or channel.d_out != d * d:
+    d = channel.d_in
+    if channel.d_out != d * d:
         raise DimensionMismatchError(
             f"broadcast channel must map dim {d} to dim {d * d}, got "
             f"{channel.d_in} -> {channel.d_out}"
         )
-    out = apply_nonselective(channel, rho, t)
+    out = apply_nonselective(channel, rho)
     dev_a = qmat.frobenius_distance(qmat.partial_trace(out, (d, d), "A"), rho)
     dev_b = qmat.frobenius_distance(qmat.partial_trace(out, (d, d), "B"), rho)
     deviation = max(dev_a, dev_b)
-    return BroadcastCheck(deviation <= t, deviation)
+    return BroadcastCheck(deviation <= qmat.tolerance(), deviation)
 
 
 @dataclass(frozen=True)
@@ -188,7 +191,7 @@ def _complete_orthonormal(seed_vectors: list[np.ndarray], dim: int) -> np.ndarra
     return np.array(cols).T
 
 
-def clone_orthogonal_pair(psi, phi, tol: float | None = None):
+def clone_orthogonal_pair(psi, phi):
     """Cloning unitary for an orthogonal (or identical) pair, else a refusal.
 
     For orthogonal inputs, returns a unitary U on the doubled space with
@@ -196,9 +199,9 @@ def clone_orthogonal_pair(psi, phi, tol: float | None = None):
     state is the first basis vector. For overlaps strictly between 0 and 1 a
     CloneRefusal carrying the inner-product invariance witness is returned.
     """
-    t = _tol(tol)
-    psi = qmat.as_unit_vector(psi, t)
-    phi = qmat.as_unit_vector(phi, t)
+    t = qmat.tolerance()
+    psi = qmat.as_unit_vector(psi)
+    phi = qmat.as_unit_vector(phi)
     if psi.size != phi.size:
         raise DimensionMismatchError(
             f"states live in different dimensions: {psi.size} vs {phi.size}"

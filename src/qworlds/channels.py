@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qmat
-from .qmat import DimensionMismatchError, _tol, dagger
+from .qmat import DimensionMismatchError, dagger
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,8 +47,8 @@ class KrausChannel:
     def d_out(self) -> int:
         return self.kraus_ops[0].shape[0]
 
-    def is_trace_preserving(self, tol: float | None = None) -> bool:
-        return bool(_trace_preserving(self._total, _tol(tol)))
+    def is_trace_preserving(self) -> bool:
+        return bool(_trace_preserving(self._total, qmat.tolerance()))
 
 
 def _subnormalized(s: np.ndarray, t: float):
@@ -99,7 +99,7 @@ class GeneralizedMeasurement:
     def __post_init__(self):
         t = qmat.tolerance()
         # require_hermitian may return the caller's own array: copy before freezing
-        es = tuple(qmat._readonly(qmat.require_hermitian(e, t).copy()) for e in self.effects)
+        es = tuple(qmat._readonly(qmat.require_hermitian(e).copy()) for e in self.effects)
         if not es:
             raise ValueError("a measurement needs at least one effect")
         dim = es[0].shape[0]
@@ -119,8 +119,8 @@ class GeneralizedMeasurement:
     def n_outcomes(self) -> int:
         return len(self.effects)
 
-    def is_projective(self, tol: float | None = None) -> bool:
-        return _projectivity_defect(self.effects, _tol(tol)) is None
+    def is_projective(self) -> bool:
+        return _projectivity_defect(self.effects, qmat.tolerance()) is None
 
 
 class ProjectiveMeasurement(GeneralizedMeasurement):
@@ -174,15 +174,14 @@ class NaimarkDilation:
         object.__setattr__(self, "embed", qmat._readonly(np.array(self.embed, dtype=complex)))
 
 
-def apply_nonselective(channel: KrausChannel, rho, tol: float | None = None) -> np.ndarray:
+def apply_nonselective(channel: KrausChannel, rho) -> np.ndarray:
     """Apply a trace-preserving channel: rho -> sum_k K rho K^dag."""
-    t = _tol(tol)
-    rho = qmat.require_density(rho, t)
+    rho = qmat.require_density(rho)
     if rho.shape[0] != channel.d_in:
         raise DimensionMismatchError(
             f"state dim {rho.shape[0]} does not match channel input dim {channel.d_in}"
         )
-    if not channel.is_trace_preserving(t):
+    if not channel.is_trace_preserving():
         raise ValueError("channel is not trace preserving (selective operation)")
     out = np.zeros((channel.d_out, channel.d_out), dtype=complex)
     for k in channel.kraus_ops:
@@ -190,17 +189,17 @@ def apply_nonselective(channel: KrausChannel, rho, tol: float | None = None) -> 
     return out
 
 
-def apply_selective(p, rho, tol: float | None = None) -> tuple[float, np.ndarray | None]:
+def apply_selective(p, rho) -> tuple[float, np.ndarray | None]:
     """Yes-outcome update for an idempotent projector.
 
     Returns (probability, post_state); the post state is None when the
     outcome probability is below tolerance.
     """
-    t = _tol(tol)
-    p = qmat.require_hermitian(p, t)
+    t = qmat.tolerance()
+    p = qmat.require_hermitian(p)
     if qmat.frobenius_distance(p @ p, p) > t * p.shape[0]:
         raise ValueError("selective operation requires an idempotent projector")
-    rho = qmat.require_density(rho, t)
+    rho = qmat.require_density(rho)
     if rho.shape != p.shape:
         raise DimensionMismatchError(
             f"state dim {rho.shape[0]} does not match projector dim {p.shape[0]}"
@@ -218,7 +217,7 @@ def _psd_sqrt(e: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ dagger(v)
 
 
-def dilate_povm(m, tol: float | None = None) -> NaimarkDilation:
+def dilate_povm(m) -> NaimarkDilation:
     """Dilate a POVM to a projective measurement on system x ancilla.
 
     The isometry stacks the square roots of the effects, so a state rho embeds
@@ -228,7 +227,7 @@ def dilate_povm(m, tol: float | None = None) -> NaimarkDilation:
     """
     if not isinstance(m, GeneralizedMeasurement):
         m = GeneralizedMeasurement(tuple(m))
-    if not isinstance(m, ProjectiveMeasurement) and m.is_projective(_tol(tol)):
+    if not isinstance(m, ProjectiveMeasurement) and m.is_projective():
         m = ProjectiveMeasurement(m.effects)
     if isinstance(m, ProjectiveMeasurement):
         return NaimarkDilation(1, m, np.eye(m.dim, dtype=complex))
@@ -242,9 +241,9 @@ def dilate_povm(m, tol: float | None = None) -> NaimarkDilation:
     return NaimarkDilation(n, ProjectiveMeasurement(tuple(joint)), embed)
 
 
-def dephase(channel: DephasingChannel, rho, tol: float | None = None) -> np.ndarray:
+def dephase(channel: DephasingChannel, rho) -> np.ndarray:
     """Apply basis dephasing: diagonal entries kept, off-diagonals scaled by (1 - strength)."""
-    rho = qmat.require_density(rho, _tol(tol))
+    rho = qmat.require_density(rho)
     if rho.shape[0] != channel.dim:
         raise DimensionMismatchError(
             f"state dim {rho.shape[0]} does not match channel dim {channel.dim}"
@@ -274,7 +273,7 @@ def outcome_probabilities(m, rho) -> np.ndarray:
     return np.array([float(np.real(np.trace(e @ rho))) for e in _effects_of(m)])
 
 
-def sample_outcome(m, rho, rng_seed: int, tol: float | None = None) -> tuple[int, np.ndarray]:
+def sample_outcome(m, rho, rng_seed: int) -> tuple[int, np.ndarray]:
     """Draw one outcome with Born probabilities and return its post-measurement state.
 
     The generator is numpy's default PCG64 seeded with `rng_seed`; a fixed
@@ -283,8 +282,8 @@ def sample_outcome(m, rho, rng_seed: int, tol: float | None = None) -> tuple[int
     which is what the Naimark dilation's projective update reduces to after
     the ancilla is traced out.
     """
-    t = _tol(tol)
-    rho = qmat.require_density(rho, t)
+    t = qmat.tolerance()
+    rho = qmat.require_density(rho)
     effects = _effects_of(m)
     if rho.shape[0] != effects[0].shape[0]:
         raise DimensionMismatchError(

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import qmat
 from .channels import GeneralizedMeasurement, ProjectiveMeasurement
-from .qmat import DimensionMismatchError, _tol, dagger
+from .qmat import DimensionMismatchError, dagger
 
 _RANK_CUTOFF = 1e-12  # spectral weight below which a branch counts as absent
 
@@ -77,8 +77,8 @@ class SchmidtDecomposition:
             raise ValueError("coefficients must be nonnegative and descending")
         if abs(float(np.sum(c**2)) - 1.0) > t:
             raise ValueError(f"squared coefficients sum to {float(np.sum(c ** 2))}, not 1")
-        a_basis = qmat.require_orthonormal_rows(self.a_basis, t, "a_basis")
-        b_basis = qmat.require_orthonormal_rows(self.b_basis, t, "b_basis")
+        a_basis = qmat.require_orthonormal_rows(self.a_basis, "a_basis")
+        b_basis = qmat.require_orthonormal_rows(self.b_basis, "b_basis")
         if not len(a_basis) == len(b_basis) == c.size:
             raise DimensionMismatchError(f"a_basis and b_basis need one row per coefficient ({c.size})")
         object.__setattr__(self, "coefficients", qmat._readonly(c))
@@ -121,7 +121,7 @@ class Ensemble:
         if abs(float(p.sum()) - 1.0) > max(t, 1e-12 * p.size):
             raise ValueError(f"probabilities sum to {float(p.sum())}, not 1")
         # require_density may return the caller's own array: copy before freezing
-        members = tuple(qmat._readonly(qmat.require_density(m, t).copy()) for m in self.members)
+        members = tuple(qmat._readonly(qmat.require_density(m).copy()) for m in self.members)
         dim = members[0].shape[0]
         if any(m.shape != (dim, dim) for m in members):
             raise DimensionMismatchError("ensemble members must share one dimension")
@@ -200,15 +200,14 @@ def epr_singlet() -> BipartiteState:
     return BipartiteState(qmat.projector(singlet_vector()), (2, 2))
 
 
-def schmidt(psi, dims: tuple[int, int], tol: float | None = None) -> SchmidtDecomposition:
+def schmidt(psi, dims: tuple[int, int]) -> SchmidtDecomposition:
     """Schmidt (biorthogonal) decomposition of a bipartite unit vector.
 
     Coefficients below the rank cutoff are dropped, so the returned rank equals
     the rank of either marginal. Pair phases are fixed deterministically by
     making the largest component of each a-vector real nonnegative.
     """
-    t = _tol(tol)
-    psi = qmat.as_unit_vector(psi, t)
+    psi = qmat.as_unit_vector(psi)
     da, db = int(dims[0]), int(dims[1])
     if psi.size != da * db:
         raise DimensionMismatchError(f"vector of size {psi.size} does not match dims {da}x{db}")
@@ -220,20 +219,19 @@ def schmidt(psi, dims: tuple[int, int], tol: float | None = None) -> SchmidtDeco
     b_rows = vh[keep]
     b_rows = b_rows * np.conj(qmat._fix_phases(a_rows))[:, None]
     dec = SchmidtDecomposition(s, a_rows, b_rows)
-    if not qmat.vectors_match(dec.vector(), psi, t):
+    if not qmat.vectors_match(dec.vector(), psi):
         raise RuntimeError("Schmidt reconstruction failed to match the input vector")
     return dec
 
 
-def purify(rho, ancilla_dim: int, tol: float | None = None) -> np.ndarray:
+def purify(rho, ancilla_dim: int) -> np.ndarray:
     """Canonical purification of `rho` as a unit vector on ancilla x system.
 
     Built from the eigendecomposition: sum_k sqrt(l_k) |k>_anc |v_k>; requires
     the ancilla dimension to be at least the rank of rho.
     """
-    t = _tol(tol)
-    rho = qmat.require_density(rho, t)
-    w, v = qmat.eigh(rho, t)
+    rho = qmat.require_density(rho)
+    w, v = qmat.eigh(rho)
     w = np.clip(w, 0.0, None)
     rank = int(np.sum(w > _RANK_CUTOFF))
     ancilla_dim = int(ancilla_dim)
@@ -248,12 +246,11 @@ def purify(rho, ancilla_dim: int, tol: float | None = None) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-def pure_vector(rho, tol: float | None = None) -> np.ndarray:
+def pure_vector(rho) -> np.ndarray:
     """Extract the state vector of a rank-1 density operator."""
-    t = _tol(tol)
-    rho = qmat.require_density(rho, t)
-    w, v = qmat.eigh(rho, t)
-    if abs(float(w[0]) - 1.0) > max(t, 1e-8):
+    rho = qmat.require_density(rho)
+    w, v = qmat.eigh(rho)
+    if abs(float(w[0]) - 1.0) > max(qmat.tolerance(), 1e-8):
         raise ValueError(f"state is not pure: top eigenvalue {float(w[0])}")
     return v[:, 0]
 
@@ -266,7 +263,7 @@ def _require_average(target: Ensemble, marginal_b: np.ndarray, t: float, mismatc
 
 
 def hjw_steering_measurement(
-    purification, dims: tuple[int, int], target: Ensemble, tol: float | None = None
+    purification, dims: tuple[int, int], target: Ensemble
 ) -> GeneralizedMeasurement:
     """Measurement on side A that steers side B into the target ensemble.
 
@@ -282,8 +279,8 @@ def hjw_steering_measurement(
     B marginal, and UnsupportedTargetError when a member leaves the support
     of the reduced density operator.
     """
-    t = _tol(tol)
-    psi = qmat.as_unit_vector(purification, t)
+    t = qmat.tolerance()
+    psi = qmat.as_unit_vector(purification)
     da, db = int(dims[0]), int(dims[1])
     if psi.size != da * db:
         raise DimensionMismatchError(f"vector of size {psi.size} does not match dims {da}x{db}")
@@ -293,12 +290,12 @@ def hjw_steering_measurement(
         )
     marginal_b = qmat.partial_trace(qmat.projector(psi), (da, db), "B")
     _require_average(target, marginal_b, t, "target ensemble average deviates from the B marginal")
-    dec = schmidt(psi, (da, db), t)
+    dec = schmidt(psi, (da, db))
     coeffs = dec.coefficients
     support = sum(qmat.projector(b) for b in dec.b_basis)
     effects = []
     for i, (p, member) in enumerate(zip(target.probabilities, target.members)):
-        tvec = pure_vector(member, t)
+        tvec = pure_vector(member)
         residual = float(np.real(np.vdot(tvec, tvec) - np.vdot(tvec, support @ tvec)))
         if residual > max(t, 1e-9):
             raise UnsupportedTargetError(
@@ -316,7 +313,7 @@ def hjw_steering_measurement(
 
 
 def steered_branches(
-    state: BipartiteState, measurement, tol: float | None = None
+    state: BipartiteState, measurement
 ) -> list[tuple[float, np.ndarray | None]]:
     """Outcome probability and Bob's conditional state for every effect, in order.
 
@@ -324,7 +321,7 @@ def steered_branches(
     Tr_A[(E_i x I) rho] / p_i. A branch with probability below tolerance keeps
     its index with probability max(p_i, 0) and conditional None.
     """
-    t = _tol(tol)
+    t = qmat.tolerance()
     effects = measurement.effects
     da, db = state.dims
     if effects[0].shape[0] != da:
@@ -343,13 +340,13 @@ def steered_branches(
     return branches
 
 
-def steer(state: BipartiteState, measurement, tol: float | None = None) -> Ensemble:
+def steer(state: BipartiteState, measurement) -> Ensemble:
     """Apply a measurement on side A and collect Bob's conditional states.
 
     Branches with probability below tolerance (see `steered_branches`) are
     dropped and the remaining probabilities renormalized.
     """
-    kept = [(p, cond) for p, cond in steered_branches(state, measurement, tol) if cond is not None]
+    kept = [(p, cond) for p, cond in steered_branches(state, measurement) if cond is not None]
     probs = np.array([p for p, _ in kept], dtype=float)
     return Ensemble(probs / probs.sum(), tuple(cond for _, cond in kept))
 
@@ -377,7 +374,6 @@ def teleport(
     rng_seed: int = 0,
     force_outcome: int | None = None,
     corrections: tuple[np.ndarray, ...] | None = None,
-    tol: float | None = None,
 ) -> TeleportResult:
     """Teleport a qubit through a shared singlet.
 
@@ -386,8 +382,7 @@ def teleport(
     the input. `force_outcome` (1..4) conditions on a specific branch instead
     of sampling; `corrections` may override the canonical fix-up table.
     """
-    t = _tol(tol)
-    chi = qmat.as_unit_vector(input_state, t)
+    chi = qmat.as_unit_vector(input_state)
     if chi.size != 2:
         raise DimensionMismatchError("teleportation input must be a qubit")
     if shared.dims != (2, 2):
@@ -404,7 +399,7 @@ def teleport(
         if not 1 <= outcome <= 4:
             raise ValueError(f"force_outcome must be 1..4, got {force_outcome}")
         idx = outcome - 1
-        if probs[idx] <= t:
+        if probs[idx] <= qmat.tolerance():
             raise ValueError(f"forced outcome {outcome} has vanishing probability")
     else:
         idx = qmat.sample_index(probs, np.random.default_rng(rng_seed))

@@ -28,7 +28,7 @@ from .entangle import (
     pure_vector,
     steered_branches,
 )
-from .qmat import DimensionMismatchError, _tol
+from .qmat import DimensionMismatchError
 
 # threshold separating a numerically-zero witness from a genuine violation;
 # an EPR attack succeeds when its acceptance is 1 within this edge, and the
@@ -70,16 +70,16 @@ class CommitmentScheme:
         """The shared pre-open density operator when the scheme conceals."""
         return self.ensemble_0.average()
 
-    def is_concealing(self, tol: float | None = None) -> bool:
+    def is_concealing(self) -> bool:
         gap = qmat.frobenius_distance(self.ensemble_0.average(), self.ensemble_1.average())
-        return gap <= _tol(tol) * self.dim
+        return gap <= qmat.tolerance() * self.dim
 
     def _epr_setup(self, t: float) -> dict:
         """The EPR-attack entries at τ = t, replacing those of any other τ."""
         if t not in self._epr_memo:
             self._epr_memo.clear()
             d = self.dim
-            psi = purify(self.average(), d, t)
+            psi = purify(self.average(), d)
             self._epr_memo[t] = {
                 "psi": psi,
                 "pair": BipartiteState(qmat.projector(psi), (d, d)),
@@ -97,7 +97,7 @@ class CommitmentScheme:
         measurements = setup["hjw"]
         if bit not in measurements:
             d = self.dim
-            measurements[bit] = hjw_steering_measurement(setup["psi"], (d, d), self.ensemble(bit), t)
+            measurements[bit] = hjw_steering_measurement(setup["psi"], (d, d), self.ensemble(bit))
         return measurements[bit]
 
 
@@ -193,13 +193,12 @@ class ConcealmentCheck(NamedTuple):
     distance: float
 
 
-def concealment_check(scheme: CommitmentScheme, world, tol: float | None = None) -> ConcealmentCheck:
+def concealment_check(scheme: CommitmentScheme, world) -> ConcealmentCheck:
     """Compare Bob's pre-open density operators for the two bits in a world."""
-    t = _tol(tol)
     omega_0 = world.transmit(scheme.ensemble_0.average())
     omega_1 = world.transmit(scheme.ensemble_1.average())
     distance = qmat.frobenius_distance(omega_0, omega_1)
-    return ConcealmentCheck(distance <= t * scheme.dim, distance)
+    return ConcealmentCheck(distance <= qmat.tolerance() * scheme.dim, distance)
 
 
 def run_commitment(scheme: CommitmentScheme, strategy, world, rng_seed: int) -> ProtocolTranscript:
@@ -214,7 +213,7 @@ def run_commitment(scheme: CommitmentScheme, strategy, world, rng_seed: int) -> 
     exact Born value; `accept` is its seeded sample.
     """
     t = qmat.tolerance()
-    if not scheme.is_concealing(t):
+    if not scheme.is_concealing():
         raise ValueError("scheme violates concealment: ensemble averages differ")
     rng = np.random.default_rng(rng_seed)
 
@@ -242,7 +241,7 @@ def run_commitment(scheme: CommitmentScheme, strategy, world, rng_seed: int) -> 
             target, separated.marginal_b(), t, "world transformation moved Bob's marginal off the target average"
         )
         measurement = scheme._steering_measurement(strategy.unveil_bit, t)
-        branches = steered_branches(separated, measurement, t)
+        branches = steered_branches(separated, measurement)
         n_targets = len(target.members)
         fidelities = []
         for j, (p, cond) in enumerate(branches):
@@ -305,9 +304,9 @@ def commitment_round(world, rng: np.random.Generator) -> CommitmentRound:
     )
 
 
-def point_mass_distribution(ensemble: Ensemble, algebra: BlockAlgebra, tol: float | None = None) -> np.ndarray:
+def point_mass_distribution(ensemble: Ensemble, algebra: BlockAlgebra) -> np.ndarray:
     """Distribution over the algebra's points induced by a point-mass ensemble."""
-    t = _tol(tol)
+    t = qmat.tolerance()
     if not is_commutative(algebra):
         raise ValueError("algebra is not commutative; point distributions are undefined")
     n = algebra.dim
@@ -330,7 +329,6 @@ def classical_unique_decomposition(
     ensemble_0: Ensemble,
     ensemble_1: Ensemble,
     algebra: BlockAlgebra,
-    tol: float | None = None,
 ) -> bool:
     """True iff two classical pure-state ensembles induce one point distribution.
 
@@ -339,13 +337,12 @@ def classical_unique_decomposition(
     two commitments: perfectly concealing classical encodings carry no binding
     information.
     """
-    t = _tol(tol)
-    d0 = point_mass_distribution(ensemble_0, algebra, t)
-    d1 = point_mass_distribution(ensemble_1, algebra, t)
-    return float(np.max(np.abs(d0 - d1))) <= max(t, 1e-10)
+    d0 = point_mass_distribution(ensemble_0, algebra)
+    d1 = point_mass_distribution(ensemble_1, algebra)
+    return float(np.max(np.abs(d0 - d1))) <= max(qmat.tolerance(), 1e-10)
 
 
-def no_signaling_trial(state: BipartiteState, local_op: KrausChannel, tol: float | None = None) -> float:
+def no_signaling_trial(state: BipartiteState, local_op: KrausChannel) -> float:
     """Distance between Bob's marginal before and after a nonselective op on A.
 
     Selective (trace-decreasing) channels are rejected: conditioning on an
@@ -357,7 +354,7 @@ def no_signaling_trial(state: BipartiteState, local_op: KrausChannel, tol: float
             f"local channel must act on dim {da}, got {local_op.d_in} -> {local_op.d_out}"
         )
     rows = np.vstack(local_op.kraus_ops)
-    return float(_marginal_shifts(state.rho, state.dims, rows, local_op._total, _tol(tol)))
+    return float(_marginal_shifts(state.rho, state.dims, rows, local_op._total, qmat.tolerance()))
 
 
 def _nonselective(totals: np.ndarray, t: float):
@@ -381,11 +378,11 @@ def _marginal_shifts(rho, dims: tuple[int, int], kraus_rows, totals, t: float) -
     return np.linalg.norm(before - after, axis=(-2, -1))
 
 
-def selective_steering_contrast(state: BipartiteState, measurement, tol: float | None = None) -> float:
+def selective_steering_contrast(state: BipartiteState, measurement) -> float:
     """Largest Frobenius distance of any steered conditional from Bob's marginal."""
     marginal = state.marginal_b()
     contrast = 0.0
-    for p, cond in steered_branches(state, measurement, tol):
+    for p, cond in steered_branches(state, measurement):
         if cond is None:
             continue
         contrast = max(contrast, qmat.frobenius_distance(cond, marginal))

@@ -53,10 +53,6 @@ def set_tolerance(value: float) -> None:
     _tolerance = value
 
 
-def _tol(tol: float | None) -> float:
-    return _tolerance if tol is None else float(tol)
-
-
 def _operands(entries, stack: bool) -> np.ndarray:
     """Complex array of one matrix, or with `stack` of a stack of matrices; shape only."""
     m = np.asarray(entries, dtype=complex)
@@ -149,7 +145,7 @@ def as_complex_matrix(entries) -> np.ndarray:
     return _require_members(_operands(entries, stack=False), 0.0, _finite)
 
 
-def as_unit_vector(amplitudes, tol: float | None = None) -> np.ndarray:
+def as_unit_vector(amplitudes) -> np.ndarray:
     """Coerce to a 1-D complex vector with unit norm within tolerance."""
     v = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if v.size == 0:
@@ -157,7 +153,7 @@ def as_unit_vector(amplitudes, tol: float | None = None) -> np.ndarray:
     if not np.isfinite(v).all():
         raise ValueError("vector contains NaN or Inf entries")
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > _tol(tol):
+    if abs(norm - 1.0) > tolerance():
         raise ValueError(f"vector norm {norm} is not 1 within tolerance")
     return v
 
@@ -167,13 +163,13 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(m).swapaxes(-1, -2)
 
 
-def require_hermitian(m, tol: float | None = None) -> np.ndarray:
-    return _require_members(_operands(m, stack=False), _tol(tol), _hermitian)
+def require_hermitian(m) -> np.ndarray:
+    return _require_members(_operands(m, stack=False), tolerance(), _hermitian)
 
 
-def require_density(rho, tol: float | None = None) -> np.ndarray:
+def require_density(rho) -> np.ndarray:
     """Validate a density operator: Hermitian, PSD, and unit trace within tolerance."""
-    return _require_members(_operands(rho, stack=False), _tol(tol), *_DENSITY)
+    return _require_members(_operands(rho, stack=False), tolerance(), *_DENSITY)
 
 
 def _require_densities(rho, t: float) -> np.ndarray:
@@ -269,7 +265,7 @@ def marginal_b_after(left, rho, dims: tuple[int, int], right=None) -> np.ndarray
     return np.einsum("...ajkl,...ak->...jl", lr, right.conj())
 
 
-def eigh(h, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def eigh(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian operator, or of each in a stack.
 
     Returns (eigenvalues, eigenvectors) with eigenvalues sorted descending and
@@ -278,7 +274,7 @@ def eigh(h, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     of each eigenvector real and nonnegative. Over the last two axes, with
     the Hermiticity check of `require_hermitian` for each member.
     """
-    m = _require_members(_operands(h, stack=True), _tol(tol), _hermitian)
+    m = _require_members(_operands(h, stack=True), tolerance(), _hermitian)
     m = (m + dagger(m)) / 2.0
     try:
         w, v = np.linalg.eigh(m)
@@ -331,20 +327,20 @@ def _orthonormal(name: str):
     return check
 
 
-def require_orthonormal_rows(basis, tol: float | None = None, name: str = "basis") -> np.ndarray:
+def require_orthonormal_rows(basis, name: str = "basis") -> np.ndarray:
     """Coerce to a complex array whose rows are orthonormal within tolerance.
 
     Over the last two axes: each member of a stack of bases is checked.
     """
-    return _require_members(_operands(basis, stack=True), _tol(tol), _orthonormal(name))
+    return _require_members(_operands(basis, stack=True), tolerance(), _orthonormal(name))
 
 
-def require_orthonormal_basis(basis, tol: float | None = None) -> np.ndarray:
+def require_orthonormal_basis(basis) -> np.ndarray:
     """Coerce to a square complex matrix whose rows form an orthonormal basis."""
     b = np.asarray(basis, dtype=complex)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise DimensionMismatchError(f"basis must be square (one row per vector), got shape {b.shape}")
-    return require_orthonormal_rows(b, tol)
+    return require_orthonormal_rows(b)
 
 
 def sample_index(weights, rng: np.random.Generator) -> int:
@@ -355,11 +351,11 @@ def sample_index(weights, rng: np.random.Generator) -> int:
     return min(index, weights.size - 1)
 
 
-def vectors_match(u, v, tol: float | None = None) -> bool:
+def vectors_match(u, v) -> bool:
     """Equality up to global phase: |<u|v>| = 1 within tolerance."""
     u = np.asarray(u, dtype=complex).reshape(-1)
     v = np.asarray(v, dtype=complex).reshape(-1)
-    return abs(abs(np.vdot(u, v)) - 1.0) <= _tol(tol)
+    return abs(abs(np.vdot(u, v)) - 1.0) <= tolerance()
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

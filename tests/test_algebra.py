@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,20 @@ def test_algebra_state_invariants():
         AlgebraState(algebra, [0.5, 0.6], (np.eye(1), np.eye(2) / 2))
     with pytest.raises(ValueError):
         AlgebraState(algebra, [0.5, 0.5], (np.eye(1), np.eye(2)))  # trace 2 block
+    # immutable: a reassigned or edited weight would bypass the checks above
+    s = classical_state([0.5, 0.5])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.weights = np.array([1.0, 0.0])
+    with pytest.raises(ValueError):
+        s.weights[0] = 7.0
+    assert not is_pure_state(s)
+    # the state holds copies: the caller's later writes do not reach it
+    block = np.eye(2, dtype=complex) / 2  # complex128: validated without a copy
+    state = AlgebraState(algebra, [0.25, 0.75], (np.eye(1), block))
+    block[0, 0] = 7.0
+    assert block.flags.writeable and state.densities[1][0, 0] == 0.5
+    with pytest.raises(ValueError):
+        state.densities[1][0, 0] = 7.0
 
 
 def test_pure_state_flag_iff_single_idempotent_block():
@@ -123,8 +139,11 @@ def test_broadcaster_rejects_nonorthonormal_basis():
 
 def test_broadcast_check_rejects_wrong_channel_shape():
     channel = classical_broadcaster(np.eye(2, dtype=complex))
-    with pytest.raises(qmat.DimensionMismatchError):
+    with pytest.raises(qmat.DimensionMismatchError, match="state dim 3 does not match channel input dim 2"):
         broadcast_check(channel, np.eye(3, dtype=complex) / 3)
+    identity = KrausChannel((np.eye(2, dtype=complex),))
+    with pytest.raises(qmat.DimensionMismatchError, match=r"must map dim 2 to dim 4, got 2 -> 2"):
+        broadcast_check(identity, np.eye(2, dtype=complex) / 2)
 
 
 def test_swap_with_ready_channel_is_not_a_broadcaster():

@@ -192,6 +192,21 @@ def test_hjw_handles_rank_deficient_marginal():
         assert abs(qmat.fidelity_to_vector(vec, member) - 1.0) < 1e-9
 
 
+def test_hjw_measurement_is_checked_at_the_tolerance_that_built_it():
+    # an average gap of 1.4e-6 fails at the default τ; at τ = 1e-4 the nested
+    # POVM check judges the effects at that same τ
+    caller_tol = qmat.tolerance()
+    try:
+        qmat.set_tolerance(1e-4)
+        target = Ensemble.from_pure_states([0.5 + 1e-6, 0.5 - 1e-6], [[1, 0], [0, 1]])
+        m = hjw_steering_measurement(singlet_vector(), (2, 2), target)
+        assert m.n_outcomes == 2
+    finally:
+        qmat.set_tolerance(caller_tol)
+    with pytest.raises(AverageMismatchError):
+        hjw_steering_measurement(singlet_vector(), (2, 2), target)
+
+
 def test_hjw_rejects_average_mismatch():
     target = Ensemble.from_pure_states([0.7, 0.3], [[1, 0], [0, 1]])
     with pytest.raises(AverageMismatchError):

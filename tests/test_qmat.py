@@ -1,7 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
-from qworlds import qmat
+from qworlds import algebra, channels, entangle, protocols, qmat, worlds
 
 from tests.oracles import (
     kron_by_loops,
@@ -195,6 +197,27 @@ def test_tolerance_override_roundtrip():
         assert qmat.tolerance() == np.finfo(float).eps
     finally:
         qmat.set_tolerance(qmat.DEFAULT_TOL)
+
+
+def test_no_library_function_takes_a_per_call_tolerance():
+    # τ is one process-wide value: every check of a run compares against qmat.tolerance()
+    assert not hasattr(qmat, "_tol")
+    checked = []
+    for module in (qmat, algebra, channels, entangle, protocols, worlds):
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [(name, obj)] if inspect.isfunction(obj) else []
+            if inspect.isclass(obj):  # its own public methods; inherited ones are checked on their class
+                members = [
+                    (f"{name}.{attr}", getattr(obj, attr))
+                    for attr in vars(obj)
+                    if not attr.startswith("_") and inspect.isroutine(getattr(obj, attr))
+                ]
+            for qualname, fn in members:
+                assert "tol" not in inspect.signature(fn).parameters, f"{module.__name__}.{qualname}"
+                checked.append(qualname)
+    assert {"require_density", "KrausChannel.is_trace_preserving", "teleport", "no_signaling_trial"} <= set(checked)
 
 
 def _rand_op(rng, rows, cols):
