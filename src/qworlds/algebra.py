@@ -129,11 +129,9 @@ def classical_broadcaster(basis) -> KrausChannel:
     rho -> sum_i <i|rho|i> |i><i| x |i><i|. Trace preserving by construction.
     """
     b = qmat.require_orthonormal_basis(basis)
-    ops = []
-    for i in range(b.shape[0]):
-        v = b[i]
-        ops.append(np.outer(np.kron(v, v), np.conj(v)))  # (|i>|i>) <i|, shape (d^2, d)
-    return KrausChannel(tuple(ops))
+    d = b.shape[0]
+    kets = (b[:, :, None] * b[:, None, :]).reshape(d, d * d, 1)  # kets[i] = |i>|i>
+    return KrausChannel(kets * np.conj(b)[:, None, :])  # member i: (|i>|i>) <i|, shape (d^2, d)
 
 
 class BroadcastCheck(NamedTuple):

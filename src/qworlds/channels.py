@@ -21,31 +21,30 @@ from .qmat import DimensionMismatchError, dagger
 class KrausChannel:
     """CP map given by Kraus operators, all of shape (d_out, d_in).
 
-    Immutable, as `BipartiteState` is: `kraus_ops` holds read-only copies of
-    the inputs, and the channel keeps the sum of K^dag K from its
-    construction check.
+    Immutable, as `BipartiteState` is: `kraus_ops` is a read-only
+    (n, d_out, d_in) stack copied from the inputs, and the channel keeps the
+    sum of K^dag K from its construction check.
     """
 
-    kraus_ops: tuple[np.ndarray, ...]
+    kraus_ops: np.ndarray
     _total: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ops = tuple(qmat._readonly(qmat.as_complex_matrix(k).copy()) for k in self.kraus_ops)
-        if not ops:
-            raise ValueError("a channel needs at least one Kraus operator")
-        shape = ops[0].shape
-        if any(k.shape != shape for k in ops):
-            raise DimensionMismatchError("Kraus operators must share one shape")
+        ops = qmat._member_stack(
+            self.kraus_ops, "a channel needs at least one Kraus operator",
+            "Kraus operators must share one shape", qmat._finite,
+        )
         object.__setattr__(self, "kraus_ops", ops)
-        object.__setattr__(self, "_total", qmat._readonly(_kraus_totals(np.vstack(ops), qmat.tolerance())))
+        rows = ops.reshape(-1, ops.shape[2])  # one under another, a view
+        object.__setattr__(self, "_total", qmat._readonly(_kraus_totals(rows, qmat.tolerance())))
 
     @property
     def d_in(self) -> int:
-        return self.kraus_ops[0].shape[1]
+        return self.kraus_ops.shape[2]
 
     @property
     def d_out(self) -> int:
-        return self.kraus_ops[0].shape[0]
+        return self.kraus_ops.shape[1]
 
     def is_trace_preserving(self) -> bool:
         return bool(_trace_preserving(self._total, qmat.tolerance()))
@@ -73,7 +72,7 @@ def _trace_preserving(totals: np.ndarray, t: float) -> np.ndarray:
     return np.linalg.norm(totals - np.eye(d), axis=(-2, -1)) <= t * d
 
 
-def _projectivity_defect(effects: tuple[np.ndarray, ...], t: float) -> str | None:
+def _projectivity_defect(effects: np.ndarray, t: float) -> str | None:
     """Message naming the first non-idempotent effect or non-orthogonal pair, or None."""
     dim = effects[0].shape[0]
     for i, e in enumerate(effects):
@@ -89,31 +88,26 @@ def _projectivity_defect(effects: tuple[np.ndarray, ...], t: float) -> str | Non
 class GeneralizedMeasurement:
     """POVM: positive effects summing to the identity.
 
-    Immutable: `effects` cannot be reassigned and holds read-only copies of
-    the inputs, so a measurement validated once stays valid wherever it is
-    shared. The caller's arrays stay writeable.
+    Immutable: `effects` cannot be reassigned and is a read-only (n, d, d)
+    stack copied from the inputs, so a measurement validated once stays valid
+    wherever it is shared. The caller's arrays stay writeable.
     """
 
-    effects: tuple[np.ndarray, ...]
+    effects: np.ndarray
 
     def __post_init__(self):
-        t = qmat.tolerance()
-        # require_hermitian may return the caller's own array: copy before freezing
-        es = tuple(qmat._readonly(qmat.require_hermitian(e).copy()) for e in self.effects)
-        if not es:
-            raise ValueError("a measurement needs at least one effect")
-        dim = es[0].shape[0]
-        if any(e.shape != (dim, dim) for e in es):
-            raise DimensionMismatchError("effects must share one dimension")
-        for i, e in enumerate(es):
-            qmat._require_psd(e, t, f"effect {i}")
-        if qmat.frobenius_distance(sum(es), np.eye(dim)) > t * dim:
+        es = qmat._member_stack(
+            self.effects, "a measurement needs at least one effect",
+            "effects must share one dimension", qmat._hermitian, qmat._positive("effect"),
+        )
+        dim = es.shape[1]
+        if qmat.frobenius_distance(es.sum(axis=0), np.eye(dim)) > qmat.tolerance() * dim:
             raise ValueError("effects do not sum to the identity")
         object.__setattr__(self, "effects", es)
 
     @property
     def dim(self) -> int:
-        return self.effects[0].shape[0]
+        return self.effects.shape[1]
 
     @property
     def n_outcomes(self) -> int:
@@ -133,7 +127,7 @@ class ProjectiveMeasurement(GeneralizedMeasurement):
             raise ValueError(defect)
 
     @property
-    def projectors(self) -> tuple[np.ndarray, ...]:
+    def projectors(self) -> np.ndarray:
         return self.effects
 
 
@@ -183,10 +177,8 @@ def apply_nonselective(channel: KrausChannel, rho) -> np.ndarray:
         )
     if not channel.is_trace_preserving():
         raise ValueError("channel is not trace preserving (selective operation)")
-    out = np.zeros((channel.d_out, channel.d_out), dtype=complex)
-    for k in channel.kraus_ops:
-        out += k @ rho @ dagger(k)
-    return out
+    ks = channel.kraus_ops
+    return (ks @ rho @ dagger(ks)).sum(axis=0)
 
 
 def apply_selective(p, rho) -> tuple[float, np.ndarray | None]:
@@ -197,7 +189,7 @@ def apply_selective(p, rho) -> tuple[float, np.ndarray | None]:
     """
     t = qmat.tolerance()
     p = qmat.require_hermitian(p)
-    if qmat.frobenius_distance(p @ p, p) > t * p.shape[0]:
+    if _projectivity_defect(p[None], t) is not None:
         raise ValueError("selective operation requires an idempotent projector")
     rho = qmat.require_density(rho)
     if rho.shape != p.shape:
@@ -212,9 +204,10 @@ def apply_selective(p, rho) -> tuple[float, np.ndarray | None]:
 
 
 def _psd_sqrt(e: np.ndarray) -> np.ndarray:
+    """Square root of a PSD operator, or of each in a stack."""
     w, v = qmat.eigh(e)
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ dagger(v)
+    return (v * np.sqrt(w)[..., None, :]) @ dagger(v)
 
 
 def dilate_povm(m) -> NaimarkDilation:
@@ -226,19 +219,17 @@ def dilate_povm(m) -> NaimarkDilation:
     unchanged with a trivial ancilla.
     """
     if not isinstance(m, GeneralizedMeasurement):
-        m = GeneralizedMeasurement(tuple(m))
+        m = GeneralizedMeasurement(m)
     if not isinstance(m, ProjectiveMeasurement) and m.is_projective():
         m = ProjectiveMeasurement(m.effects)
     if isinstance(m, ProjectiveMeasurement):
         return NaimarkDilation(1, m, np.eye(m.dim, dtype=complex))
     d, n = m.dim, m.n_outcomes
-    embed = np.vstack([_psd_sqrt(e) for e in m.effects])  # shape (n*d, d), ancilla major
-    joint = []
-    for i in range(n):
-        block = np.zeros((n * d, n * d), dtype=complex)
-        block[i * d : (i + 1) * d, i * d : (i + 1) * d] = np.eye(d)
-        joint.append(block)
-    return NaimarkDilation(n, ProjectiveMeasurement(tuple(joint)), embed)
+    embed = _psd_sqrt(m.effects).reshape(n * d, d)  # ancilla major
+    joint = np.zeros((n, n * d, n * d), dtype=complex)
+    diagonal = np.arange(n * d)
+    joint[diagonal // d, diagonal, diagonal] = 1.0  # outcome i: the identity on ancilla block i
+    return NaimarkDilation(n, ProjectiveMeasurement(joint), embed)
 
 
 def dephase(channel: DephasingChannel, rho) -> np.ndarray:
@@ -261,7 +252,7 @@ def _dephase(basis: np.ndarray, rho: np.ndarray, strength: float) -> np.ndarray:
     return basis.swapaxes(-1, -2) @ (in_basis * damp) @ np.conj(basis)
 
 
-def _effects_of(m) -> tuple[np.ndarray, ...]:
+def _effects_of(m) -> np.ndarray:
     if isinstance(m, GeneralizedMeasurement):
         return m.effects
     raise TypeError(f"expected a measurement, got {type(m).__name__}")
@@ -270,7 +261,7 @@ def _effects_of(m) -> tuple[np.ndarray, ...]:
 def outcome_probabilities(m, rho) -> np.ndarray:
     """Born probabilities trace(E_i rho) for every effect."""
     rho = np.asarray(rho, dtype=complex)
-    return np.array([float(np.real(np.trace(e @ rho))) for e in _effects_of(m)])
+    return (_effects_of(m) @ rho).trace(0, -2, -1).real
 
 
 def sample_outcome(m, rho, rng_seed: int) -> tuple[int, np.ndarray]:
@@ -285,9 +276,9 @@ def sample_outcome(m, rho, rng_seed: int) -> tuple[int, np.ndarray]:
     t = qmat.tolerance()
     rho = qmat.require_density(rho)
     effects = _effects_of(m)
-    if rho.shape[0] != effects[0].shape[0]:
+    if rho.shape[0] != effects.shape[1]:
         raise DimensionMismatchError(
-            f"state dim {rho.shape[0]} does not match measurement dim {effects[0].shape[0]}"
+            f"state dim {rho.shape[0]} does not match measurement dim {effects.shape[1]}"
         )
     probs = outcome_probabilities(m, rho)
     total = float(probs.sum())
@@ -297,7 +288,7 @@ def sample_outcome(m, rho, rng_seed: int) -> tuple[int, np.ndarray]:
     e = effects[index]
     p = probs[index]
     if p <= t:
-        # zero-probability branch cannot be drawn except by rounding; renormalize defensively
+        # a zero-probability branch is drawn only through rounding: refuse to divide by it
         raise ValueError(f"drawn outcome {index} has vanishing probability {p}")
     if isinstance(m, ProjectiveMeasurement):
         post = e @ rho @ dagger(e) / p
@@ -319,4 +310,4 @@ def unitary_channel(u) -> KrausChannel:
 
 def luders_channel(m: ProjectiveMeasurement) -> KrausChannel:
     """Nonselective measurement channel rho -> sum_i P_i rho P_i."""
-    return KrausChannel(tuple(m.projectors))
+    return KrausChannel(m.projectors)

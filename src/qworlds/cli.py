@@ -41,7 +41,7 @@ from .entangle import (
     steer,
     teleport,
 )
-from .protocols import REPORT_EDGE, commitment_round, concealment_check
+from .protocols import _BROADCAST_GAP, _FLAG_EDGE, REPORT_EDGE, commitment_round, concealment_check
 from .worlds import World, evaluate_constraints
 
 SCENARIOS = ("steer", "teleport", "bitcommit", "constraints", "chsh", "broadcast")
@@ -54,7 +54,6 @@ EXIT_BAD_PARAMS = 3
 EXIT_UNWRITABLE = 4
 EXIT_NUMERICAL = 5
 
-_FLAG_TOL = 1e-9
 _MAX_SCORE = float(2.0 * np.sqrt(2.0))
 
 
@@ -152,7 +151,7 @@ def _run_steer(req: ScenarioRequest, world: World) -> tuple[dict, dict]:
     # built-in expectation is the quantum steering outcome; running in a
     # decohering world fails these flags, which is the point of the comparison
     flags = {
-        "ensemble_average_matches_marginal": marginal_gap <= _FLAG_TOL,
+        "ensemble_average_matches_marginal": marginal_gap <= _FLAG_EDGE,
         "probabilities_uniform": all(abs(p - 0.25) <= REPORT_EDGE for p in probs),
         "conditionals_match_targets": all(abs(f - 1.0) <= REPORT_EDGE for f in fidelities),
     }
@@ -199,7 +198,7 @@ def _run_bitcommit(req: ScenarioRequest, world: World) -> tuple[dict, dict]:
         "attack_transcripts": [t.to_dict() for t in commit.attack_transcripts],
     }
     flags = {
-        "honest_acceptance_unity": all(abs(a - 1.0) <= _FLAG_TOL for a in commit.honest_acceptance),
+        "honest_acceptance_unity": all(abs(a - 1.0) <= _FLAG_EDGE for a in commit.honest_acceptance),
         "concealing": bool(concealed),
         "attack_matches_world_expectation": commit.attack_succeeds == _attack_expected(world),
     }
@@ -231,11 +230,11 @@ def _run_chsh(req: ScenarioRequest, world: World) -> tuple[dict, dict]:
         "tsirelson_bound": _MAX_SCORE,
     }
     if world.kind == "classical":
-        expectation_met = abs(score) <= 2.0 + _FLAG_TOL
+        expectation_met = abs(score) <= 2.0 + _FLAG_EDGE
     else:  # the singlet's |CHSH| at the canonical settings is 2*sqrt(2)*(1 - lambda/2)
-        expectation_met = abs(abs(score) - _MAX_SCORE * (1.0 - world.strength / 2.0)) <= _FLAG_TOL
+        expectation_met = abs(abs(score) - _MAX_SCORE * (1.0 - world.strength / 2.0)) <= _FLAG_EDGE
     flags = {
-        "bound_respected": bool(abs(score) <= _MAX_SCORE + _FLAG_TOL),
+        "bound_respected": bool(abs(score) <= _MAX_SCORE + _FLAG_EDGE),
         "score_matches_world_expectation": bool(expectation_met),
     }
     return results, flags
@@ -266,7 +265,7 @@ def _run_broadcast(req: ScenarioRequest, world: World) -> tuple[dict, dict]:
     }
     flags = {
         "commuting_pair_broadcasts": all(c.ok for c in commuting),
-        "noncommuting_state_fails": not off_diag.ok and off_diag.deviation > 1e-3,
+        "noncommuting_state_fails": not off_diag.ok and off_diag.deviation > _BROADCAST_GAP,
         "nonorthogonal_clone_refused": refused,
     }
     return results, flags

@@ -57,7 +57,7 @@ class BipartiteState:
 
 @dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
-    """Biorthogonal expansion data: psi = sum_k c_k |a_k> |b_k|>.
+    """Biorthogonal expansion data: psi = sum_k c_k |a_k> |b_k>.
 
     Coefficients are the nonnegative square roots of the marginal eigenvalues,
     sorted descending; a_basis and b_basis hold the paired vectors as rows.
@@ -101,30 +101,27 @@ class SchmidtDecomposition:
 class Ensemble:
     """Probability-weighted mixture of density operators of one dimension.
 
-    Immutable: the fields cannot be reassigned, and `probabilities` and each
-    member are read-only copies of the inputs, so an ensemble validated once
-    stays valid wherever it is shared. The caller's arrays stay writeable.
+    Immutable: the fields cannot be reassigned, and `probabilities` and
+    `members`, a (n, d, d) stack, are read-only copies of the inputs, so an
+    ensemble validated once stays valid wherever it is shared. The caller's
+    arrays stay writeable.
     """
 
     probabilities: np.ndarray
-    members: tuple[np.ndarray, ...]
+    members: np.ndarray
 
     def __post_init__(self):
         t = qmat.tolerance()
+        members = qmat._member_stack(
+            self.members, "empty ensemble", "ensemble members must share one dimension", *qmat._DENSITY
+        )
         p = np.array(self.probabilities, dtype=float).reshape(-1)
-        if p.size != len(self.members):
+        if p.size != len(members):
             raise DimensionMismatchError("one probability per member is required")
-        if p.size == 0:
-            raise ValueError("empty ensemble")
         if float(p.min()) < -t:
             raise ValueError(f"negative probability {float(p.min())}")
         if abs(float(p.sum()) - 1.0) > max(t, 1e-12 * p.size):
             raise ValueError(f"probabilities sum to {float(p.sum())}, not 1")
-        # require_density may return the caller's own array: copy before freezing
-        members = tuple(qmat._readonly(qmat.require_density(m).copy()) for m in self.members)
-        dim = members[0].shape[0]
-        if any(m.shape != (dim, dim) for m in members):
-            raise DimensionMismatchError("ensemble members must share one dimension")
         object.__setattr__(self, "probabilities", qmat._readonly(p))
         object.__setattr__(self, "members", members)
 
@@ -137,10 +134,10 @@ class Ensemble:
 
     @property
     def dim(self) -> int:
-        return self.members[0].shape[0]
+        return self.members.shape[1]
 
     def average(self) -> np.ndarray:
-        return sum(p * m for p, m in zip(self.probabilities, self.members))
+        return (self.probabilities[:, None, None] * self.members).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -324,18 +321,17 @@ def steered_branches(
     t = qmat.tolerance()
     effects = measurement.effects
     da, db = state.dims
-    if effects[0].shape[0] != da:
+    if effects.shape[1] != da:
         raise DimensionMismatchError(
-            f"measurement dim {effects[0].shape[0]} does not match side A dim {da}"
+            f"measurement dim {effects.shape[1]} does not match side A dim {da}"
         )
+    unnormalized = qmat.marginal_b_after(effects, state.rho, (da, db))
     branches = []
-    for e in effects:
-        unnormalized = qmat.marginal_b_after(e, state.rho, (da, db))
-        p = float(np.real(np.trace(unnormalized)))
+    for p, u in zip(unnormalized.trace(0, -2, -1).real.tolist(), unnormalized):
         if p <= t:
             branches.append((max(p, 0.0), None))
             continue
-        cond = unnormalized / p
+        cond = u / p
         branches.append((p, (cond + dagger(cond)) / 2.0))
     return branches
 

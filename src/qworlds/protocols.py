@@ -34,6 +34,10 @@ from .qmat import DimensionMismatchError
 # an EPR attack succeeds when its acceptance is 1 within this edge, and the
 # CLI's steer and teleport flags compare against it too
 REPORT_EDGE = 1e-10
+# edge of the CLI's closed-form flags: the default τ, fixed so every --tol judges them alike
+_FLAG_EDGE = 1e-9
+# least deviation that fails a broadcast: |+><+| misses by 1/sqrt(2), far above roundoff
+_BROADCAST_GAP = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +58,7 @@ class CommitmentScheme:
     def __post_init__(self):
         if self.ensemble_0.dim != self.ensemble_1.dim:
             raise DimensionMismatchError("both ensembles must live on Bob's space")
-        for member in self.ensemble_0.members + self.ensemble_1.members:
+        for member in np.concatenate((self.ensemble_0.members, self.ensemble_1.members)):
             pure_vector(member)  # raises if not rank 1
 
     @property
@@ -353,7 +357,7 @@ def no_signaling_trial(state: BipartiteState, local_op: KrausChannel) -> float:
         raise DimensionMismatchError(
             f"local channel must act on dim {da}, got {local_op.d_in} -> {local_op.d_out}"
         )
-    rows = np.vstack(local_op.kraus_ops)
+    rows = local_op.kraus_ops.reshape(-1, da)
     return float(_marginal_shifts(state.rho, state.dims, rows, local_op._total, qmat.tolerance()))
 
 

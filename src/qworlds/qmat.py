@@ -11,7 +11,10 @@ of one. The public validators (`as_complex_matrix`, `require_hermitian`,
 `require_density`) take one 2-D matrix. Every check is written once, over
 the last two axes, and the single-matrix validators run that same check on
 their one matrix; a stack that fails raises the single-matrix message
-prefixed with the index of the first failing member.
+prefixed with "stack member k:", k the index of the first failing member.
+
+Ensemble members, POVM effects and Kraus operators are each held as one
+read-only (n, rows, cols) stack, built and checked once by `_member_stack`.
 """
 
 from __future__ import annotations
@@ -177,9 +180,18 @@ def _require_densities(rho, t: float) -> np.ndarray:
     return _require_members(_operands(rho, stack=True), t, *_DENSITY)
 
 
-def _require_psd(m: np.ndarray, t: float, name: str) -> None:
-    """Raise unless the Hermitian part of `m` has no eigenvalue below -t."""
-    _require_members(m, t, _positive(name))
+def _member_stack(members, empty: str, mismatch: str, *checks) -> np.ndarray:
+    """Read-only (n, r, c) copy of a collection of matrices, with shapes checked first.
+
+    No member raises `ValueError(empty)` and mixed shapes `DimensionMismatchError(mismatch)`;
+    then one `_require_members` call at τ runs the checks on the whole stack.
+    """
+    ms = [_operands(m, stack=False) for m in members]
+    if not ms:
+        raise ValueError(empty)
+    if any(m.shape != ms[0].shape for m in ms):
+        raise DimensionMismatchError(mismatch)
+    return _readonly(_require_members(np.stack(ms), tolerance(), *checks))
 
 
 def projector(v) -> np.ndarray:

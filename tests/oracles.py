@@ -1,14 +1,15 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately written with plain loops or closed forms,
-separate from the library code paths it checks. The one exception is the
-reference for a stacked path: the per-item library calls that it replaces.
+separate from the library code paths it checks. The exceptions are the
+references for stacked paths: the per-item code that each one replaces.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from qworlds import qmat
 from qworlds.channels import KrausChannel
 from qworlds.entangle import BipartiteState
 from qworlds.protocols import no_signaling_trial
@@ -38,6 +39,11 @@ def rand_channel(rng: np.random.Generator, d: int, n_kraus: int) -> list[np.ndar
     z = rng.normal(size=(d * n_kraus, d)) + 1j * rng.normal(size=(d * n_kraus, d))
     q, _ = np.linalg.qr(z)
     return [q[i * d : (i + 1) * d, :] for i in range(n_kraus)]
+
+
+def rand_povm(rng: np.random.Generator, d: int, n: int) -> list[np.ndarray]:
+    """K^dag K for the Kraus operators of a random channel: n effects summing to the identity."""
+    return [np.conj(k).T @ k for k in rand_channel(rng, d, n)]
 
 
 def kron_by_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -205,3 +211,55 @@ def signaling_battery_by_trials(world, rng: np.random.Generator) -> tuple[bool, 
             trials += 1
     witness = {"trials": trials, "max_marginal_distance": max_dist, "dims": [[2, 2], [2, 3]]}
     return max_dist > 1e-10, witness
+
+
+# One member at a time: references for the code over a stack of members, which
+# must give the same bits.
+
+
+def apply_nonselective_by_kraus(kraus_ops, rho: np.ndarray) -> np.ndarray:
+    out = np.zeros((kraus_ops[0].shape[0],) * 2, dtype=complex)
+    for k in kraus_ops:
+        out += k @ rho @ np.conj(k).swapaxes(-1, -2)
+    return out
+
+
+def outcome_probabilities_by_effect(effects, rho: np.ndarray) -> np.ndarray:
+    return np.array([float(np.real(np.trace(e @ rho))) for e in effects])
+
+
+def steered_branches_by_effect(effects, rho: np.ndarray, dims: tuple[int, int]) -> list:
+    branches = []
+    for e in effects:
+        unnormalized = qmat.marginal_b_after(e, rho, dims)
+        p = float(np.real(np.trace(unnormalized)))
+        if p <= qmat.tolerance():
+            branches.append((max(p, 0.0), None))
+            continue
+        cond = unnormalized / p
+        branches.append((p, (cond + np.conj(cond).T) / 2.0))
+    return branches
+
+
+def ensemble_average_by_member(probabilities, members) -> np.ndarray:
+    return sum(p * m for p, m in zip(probabilities, members))
+
+
+def naimark_by_effect(effects) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The dilation's embedding, one effect's square root at a time, and its joint blocks."""
+    roots = []
+    for e in effects:
+        w, v = qmat.eigh(e)
+        roots.append((v * np.sqrt(np.clip(w, 0.0, None))) @ np.conj(v).T)
+    n, d = len(effects), effects[0].shape[0]
+    joint = []
+    for i in range(n):
+        block = np.zeros((n * d, n * d), dtype=complex)
+        block[i * d : (i + 1) * d, i * d : (i + 1) * d] = np.eye(d)
+        joint.append(block)
+    return np.vstack(roots), joint
+
+
+def classical_broadcaster_by_row(basis: np.ndarray) -> list[np.ndarray]:
+    """Kraus operators (|i>|i>) <i| of the classical broadcaster, one basis row at a time."""
+    return [np.outer(np.kron(v, v), np.conj(v)) for v in basis]

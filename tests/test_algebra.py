@@ -18,7 +18,7 @@ from qworlds.algebra import (
 )
 from qworlds.channels import KrausChannel, apply_nonselective
 
-from tests.oracles import rand_density, rand_pure, rand_unitary
+from tests.oracles import classical_broadcaster_by_row, rand_density, rand_pure, rand_unitary
 
 SQRT_HALF = 1 / np.sqrt(2)
 
@@ -239,3 +239,10 @@ def test_no_unitary_for_intermediate_overlaps():
 def test_clone_dimension_mismatch():
     with pytest.raises(qmat.DimensionMismatchError):
         clone_orthogonal_pair([1, 0], [1, 0, 0])
+
+
+def test_classical_broadcaster_matches_the_per_row_kron_bit_for_bit():
+    rng = np.random.default_rng(71)
+    for d in (2, 3, 4):
+        basis = rand_unitary(rng, d).T
+        assert np.array_equal(classical_broadcaster(basis).kraus_ops, classical_broadcaster_by_row(basis))

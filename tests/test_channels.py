@@ -21,7 +21,16 @@ from qworlds.channels import (
 )
 from qworlds.entangle import SteeringExampleConfig, bell_basis, schmidt, singlet_vector, steering_states
 
-from tests.oracles import dephase_by_loops, rand_channel, rand_density, rand_unitary
+from tests.oracles import (
+    apply_nonselective_by_kraus,
+    dephase_by_loops,
+    naimark_by_effect,
+    outcome_probabilities_by_effect,
+    rand_channel,
+    rand_density,
+    rand_povm,
+    rand_unitary,
+)
 
 SQRT_HALF = 1 / np.sqrt(2)
 PLUS_X = qmat.projector([SQRT_HALF, SQRT_HALF])
@@ -311,3 +320,54 @@ def test_channels_and_schmidt_data_are_immutable_and_leave_the_callers_arrays_wr
     assert k.is_trace_preserving()
     eye[0, 0] = 3.0  # the caller's array is a separate, writeable copy
     assert k.kraus_ops[0][0, 0] == 1.0 and dephasing.basis[0, 0] == 1.0
+
+
+def test_stacked_channel_and_measurement_kernels_match_the_per_member_loops_bit_for_bit():
+    rng = np.random.default_rng(61)
+    for d in (2, 3, 4):
+        rho = rand_density(rng, d)
+        channel = KrausChannel(tuple(rand_channel(rng, d, 3)))
+        assert np.array_equal(apply_nonselective(channel, rho), apply_nonselective_by_kraus(channel.kraus_ops, rho))
+        povm = GeneralizedMeasurement(rand_povm(rng, d, 3))
+        assert np.array_equal(outcome_probabilities(povm, rho), outcome_probabilities_by_effect(povm.effects, rho))
+        dilation = dilate_povm(povm)
+        embed, joint = naimark_by_effect(povm.effects)
+        assert np.array_equal(dilation.embed, embed)
+        assert np.array_equal(dilation.joint.projectors, joint)
+
+
+def test_kraus_channel_is_one_checked_read_only_stack():
+    ops = [np.eye(2, dtype=complex) * 0.5 for _ in range(4)]
+    ops[2] = ops[2].copy()
+    ops[2][0, 1] = np.nan
+    with pytest.raises(ValueError, match=r"^stack member 2: matrix contains NaN or Inf entries$"):
+        KrausChannel(tuple(ops))
+    # shapes are checked before contents: the NaN member does not decide the error
+    with pytest.raises(qmat.DimensionMismatchError, match="Kraus operators must share one shape"):
+        KrausChannel((ops[2], np.zeros((3, 2))))
+    ops[2] = np.eye(2, dtype=complex) * 0.5
+    channel = KrausChannel(tuple(ops))
+    assert channel.kraus_ops.shape == (4, 2, 2) and channel.is_trace_preserving()
+    with pytest.raises(ValueError, match="read-only"):
+        channel.kraus_ops[1, 0, 0] = 1.0
+    assert all(k.flags.writeable for k in ops)
+    ops[1][0, 0] = 7.0
+    assert channel.kraus_ops[1, 0, 0] == 0.5
+
+
+def test_measurement_effects_are_one_checked_read_only_stack():
+    effects = [np.diag([0.6, 0.0]), np.diag([0.6, 1.0]), np.diag([-0.2, 0.0])]  # sums to I
+    with pytest.raises(ValueError, match=r"^stack member 2: effect has negative eigenvalue -0\.2"):
+        GeneralizedMeasurement(tuple(effects))
+    with pytest.raises(qmat.DimensionMismatchError, match="effects must share one dimension"):
+        GeneralizedMeasurement((effects[2], np.eye(3)))
+    z0 = qmat.projector([1, 0])
+    z1 = qmat.projector([0, 1])
+    for m in (GeneralizedMeasurement((0.5 * z0, 0.5 * z0, z1)), ProjectiveMeasurement((z0, z1))):
+        assert m.effects.shape == (m.n_outcomes, 2, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            m.effects[0, 0, 0] = 0.0
+    assert m.projectors is m.effects
+    assert z0.flags.writeable and z1.flags.writeable
+    z0[0, 0] = 0.0
+    assert m.projectors[0, 0, 0] == 1.0

@@ -24,12 +24,21 @@ from qworlds.entangle import (
     schmidt,
     singlet_vector,
     steer,
+    steered_branches,
     steering_states,
     teleport,
     teleport_corrections,
 )
 
-from tests.oracles import matching_pure_ensemble, rand_density, rand_pure, rand_unitary
+from tests.oracles import (
+    ensemble_average_by_member,
+    matching_pure_ensemble,
+    rand_density,
+    rand_povm,
+    rand_pure,
+    rand_unitary,
+    steered_branches_by_effect,
+)
 
 SQRT_HALF = 1 / np.sqrt(2)
 
@@ -379,3 +388,38 @@ def test_steering_config_validation():
     SteeringExampleConfig(0.6, 0.8)
     with pytest.raises(ValueError):
         SteeringExampleConfig(0.6, 0.9)
+
+
+def test_stacked_steering_and_average_match_the_per_member_loops_bit_for_bit():
+    rng = np.random.default_rng(67)
+    for d in (2, 3, 4):
+        state = BipartiteState(rand_density(rng, d * d), (d, d))
+        measurement = GeneralizedMeasurement((*rand_povm(rng, d, 3), np.zeros((d, d))))  # the last branch never fires
+        got = steered_branches(state, measurement)
+        want = steered_branches_by_effect(measurement.effects, state.rho, (d, d))
+        assert [p for p, _ in got] == [p for p, _ in want] and got[-1] == (0.0, None)
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got[:-1], want[:-1]))
+        ens = steer(state, measurement)
+        assert np.array_equal(ens.average(), ensemble_average_by_member(ens.probabilities, ens.members))
+
+
+def test_ensemble_members_are_one_checked_read_only_stack():
+    members = [np.eye(2, dtype=complex) / 2 for _ in range(3)]
+    members[2] = np.eye(2, dtype=complex)
+    with pytest.raises(ValueError, match=r"^stack member 2: density operator trace 2\.0 is not 1"):
+        Ensemble([0.5, 0.25, 0.25], tuple(members))
+    # shapes are checked before contents: the bad trace does not decide the error
+    with pytest.raises(qmat.DimensionMismatchError, match="ensemble members must share one dimension"):
+        Ensemble([0.5, 0.5], (members[2], np.eye(3) / 3))
+    with pytest.raises(ValueError, match="^empty ensemble$"):
+        Ensemble([], ())
+    with pytest.raises(qmat.DimensionMismatchError, match="one probability per member"):
+        Ensemble([1.0], (members[0], members[1]))
+    members[2] = qmat.projector([1, 0])
+    ens = Ensemble([0.5, 0.25, 0.25], tuple(members))
+    assert ens.members.shape == (3, 2, 2) and ens.dim == 2
+    with pytest.raises(ValueError, match="read-only"):
+        ens.members[2, 1, 1] = 1.0
+    assert all(m.flags.writeable for m in members)
+    members[2][0, 0] = 0.0
+    assert ens.members[2, 0, 0] == 1.0

@@ -54,8 +54,9 @@ def z_measurement():
 def test_scheme_requires_pure_members():
     mixed = Ensemble(np.array([1.0]), (np.eye(2, dtype=complex) / 2,))
     pure = Ensemble.from_pure_states([1.0], [[1, 0]])
-    with pytest.raises(ValueError):
-        CommitmentScheme(mixed, pure)
+    for ensembles in ((mixed, pure), (pure, mixed)):
+        with pytest.raises(ValueError, match="state is not pure"):
+            CommitmentScheme(*ensembles)
 
 
 def test_bb84_scheme_conceals():
