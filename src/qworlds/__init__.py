@@ -17,7 +17,6 @@ from .algebra import (  # noqa: F401
     classical_broadcaster,
     clone_orthogonal_pair,
     is_commutative,
-    kinematically_independent,
 )
 from .channels import (  # noqa: F401
     DephasingChannel,
@@ -25,10 +24,7 @@ from .channels import (  # noqa: F401
     KrausChannel,
     ProjectiveMeasurement,
     apply_nonselective,
-    apply_selective,
     dephase,
-    dilate_povm,
-    sample_outcome,
 )
 from .entangle import (  # noqa: F401
     BipartiteState,
@@ -53,6 +49,5 @@ from .protocols import (  # noqa: F401
     concealment_check,
     no_signaling_trial,
     run_commitment,
-    selective_steering_contrast,
 )
 from .worlds import ConstraintReport, World, evaluate_constraints  # noqa: F401

@@ -88,40 +88,6 @@ class AlgebraState:
         return out
 
 
-def classical_state(weights) -> AlgebraState:
-    """State of the commutative algebra with one 1-dim block per weight."""
-    w = np.asarray(weights, dtype=float).reshape(-1)
-    algebra = BlockAlgebra((1,) * w.size)
-    one = np.eye(1, dtype=complex)
-    return AlgebraState(algebra, w, tuple(one for _ in range(w.size)))
-
-
-def is_pure_state(state: AlgebraState) -> bool:
-    """True iff exactly one block carries weight 1 and its density is idempotent."""
-    t = qmat.tolerance()
-    heavy = [k for k, w in enumerate(state.weights) if w > t]
-    if len(heavy) != 1 or abs(float(state.weights[heavy[0]]) - 1.0) > t:
-        return False
-    d = state.densities[heavy[0]]
-    return qmat.frobenius_distance(d @ d, d) <= t * d.shape[0]
-
-
-def kinematically_independent(a_ops, b_ops) -> bool:
-    """True iff every listed A operator commutes with every listed B operator."""
-    t = qmat.tolerance()
-    a_ops = [qmat.as_complex_matrix(a) for a in a_ops]
-    b_ops = [qmat.as_complex_matrix(b) for b in b_ops]
-    dims = {m.shape for m in a_ops + b_ops}
-    if len(dims) != 1 or any(s[0] != s[1] for s in dims):
-        raise DimensionMismatchError(f"operators must be square on one joint space, got {dims}")
-    n = a_ops[0].shape[0]
-    for a in a_ops:
-        for b in b_ops:
-            if qmat.frobenius_distance(a @ b, b @ a) > t * n:
-                return False
-    return True
-
-
 def classical_broadcaster(basis) -> KrausChannel:
     """Universal broadcaster for states diagonal in `basis`.
 

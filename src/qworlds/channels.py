@@ -2,9 +2,7 @@
 
 Channels carry explicit Kraus operator sets; a channel is nonselective
 (trace preserving) when the Kraus operators resolve the identity, and
-sub-normalized sets represent selective operations. Measurement sampling
-uses numpy's seeded PCG64 generator, so identical seeds give identical
-outcome sequences.
+sub-normalized sets represent selective operations.
 """
 
 from __future__ import annotations
@@ -113,9 +111,6 @@ class GeneralizedMeasurement:
     def n_outcomes(self) -> int:
         return len(self.effects)
 
-    def is_projective(self) -> bool:
-        return _projectivity_defect(self.effects, qmat.tolerance()) is None
-
 
 class ProjectiveMeasurement(GeneralizedMeasurement):
     """Complete set of mutually orthogonal projectors: a POVM with idempotent effects."""
@@ -156,18 +151,6 @@ class DephasingChannel:
         return self.basis.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class NaimarkDilation:
-    """Ancilla-extended projective realization of a POVM. Immutable; `embed` is a read-only copy."""
-
-    ancilla_dim: int
-    joint: ProjectiveMeasurement
-    embed: np.ndarray  # isometry from the system space into the joint space
-
-    def __post_init__(self):
-        object.__setattr__(self, "embed", qmat._readonly(np.array(self.embed, dtype=complex)))
-
-
 def apply_nonselective(channel: KrausChannel, rho) -> np.ndarray:
     """Apply a trace-preserving channel: rho -> sum_k K rho K^dag."""
     rho = qmat.require_density(rho)
@@ -179,57 +162,6 @@ def apply_nonselective(channel: KrausChannel, rho) -> np.ndarray:
         raise ValueError("channel is not trace preserving (selective operation)")
     ks = channel.kraus_ops
     return (ks @ rho @ dagger(ks)).sum(axis=0)
-
-
-def apply_selective(p, rho) -> tuple[float, np.ndarray | None]:
-    """Yes-outcome update for an idempotent projector.
-
-    Returns (probability, post_state); the post state is None when the
-    outcome probability is below tolerance.
-    """
-    t = qmat.tolerance()
-    p = qmat.require_hermitian(p)
-    if _projectivity_defect(p[None], t) is not None:
-        raise ValueError("selective operation requires an idempotent projector")
-    rho = qmat.require_density(rho)
-    if rho.shape != p.shape:
-        raise DimensionMismatchError(
-            f"state dim {rho.shape[0]} does not match projector dim {p.shape[0]}"
-        )
-    prob = float(np.real(np.trace(p @ rho)))
-    if prob <= t:
-        return max(prob, 0.0), None
-    post = p @ rho @ p / prob
-    return prob, post
-
-
-def _psd_sqrt(e: np.ndarray) -> np.ndarray:
-    """Square root of a PSD operator, or of each in a stack."""
-    w, v = qmat.eigh(e)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)[..., None, :]) @ dagger(v)
-
-
-def dilate_povm(m) -> NaimarkDilation:
-    """Dilate a POVM to a projective measurement on system x ancilla.
-
-    The isometry stacks the square roots of the effects, so a state rho embeds
-    as V rho V^dag on a space of dimension d * n_outcomes, where ancilla index i
-    carries outcome i. A measurement that is already projective is returned
-    unchanged with a trivial ancilla.
-    """
-    if not isinstance(m, GeneralizedMeasurement):
-        m = GeneralizedMeasurement(m)
-    if not isinstance(m, ProjectiveMeasurement) and m.is_projective():
-        m = ProjectiveMeasurement(m.effects)
-    if isinstance(m, ProjectiveMeasurement):
-        return NaimarkDilation(1, m, np.eye(m.dim, dtype=complex))
-    d, n = m.dim, m.n_outcomes
-    embed = _psd_sqrt(m.effects).reshape(n * d, d)  # ancilla major
-    joint = np.zeros((n, n * d, n * d), dtype=complex)
-    diagonal = np.arange(n * d)
-    joint[diagonal // d, diagonal, diagonal] = 1.0  # outcome i: the identity on ancilla block i
-    return NaimarkDilation(n, ProjectiveMeasurement(joint), embed)
 
 
 def dephase(channel: DephasingChannel, rho) -> np.ndarray:
@@ -250,64 +182,3 @@ def _dephase(basis: np.ndarray, rho: np.ndarray, strength: float) -> np.ndarray:
     damp = np.full(in_basis.shape[-2:], 1.0 - strength)
     np.fill_diagonal(damp, 1.0)
     return basis.swapaxes(-1, -2) @ (in_basis * damp) @ np.conj(basis)
-
-
-def _effects_of(m) -> np.ndarray:
-    if isinstance(m, GeneralizedMeasurement):
-        return m.effects
-    raise TypeError(f"expected a measurement, got {type(m).__name__}")
-
-
-def outcome_probabilities(m, rho) -> np.ndarray:
-    """Born probabilities trace(E_i rho) for every effect."""
-    rho = np.asarray(rho, dtype=complex)
-    return (_effects_of(m) @ rho).trace(0, -2, -1).real
-
-
-def sample_outcome(m, rho, rng_seed: int) -> tuple[int, np.ndarray]:
-    """Draw one outcome with Born probabilities and return its post-measurement state.
-
-    The generator is numpy's default PCG64 seeded with `rng_seed`; a fixed
-    seed reproduces the identical outcome on every run. The post state is
-    the Luders update sqrt(E) rho sqrt(E) / p (for projectors, P rho P / p),
-    which is what the Naimark dilation's projective update reduces to after
-    the ancilla is traced out.
-    """
-    t = qmat.tolerance()
-    rho = qmat.require_density(rho)
-    effects = _effects_of(m)
-    if rho.shape[0] != effects.shape[1]:
-        raise DimensionMismatchError(
-            f"state dim {rho.shape[0]} does not match measurement dim {effects.shape[1]}"
-        )
-    probs = outcome_probabilities(m, rho)
-    total = float(probs.sum())
-    if abs(total - 1.0) > max(t, 1e-12) * len(effects):
-        raise ValueError(f"outcome probabilities sum to {total}, not 1")
-    index = qmat.sample_index(probs, np.random.default_rng(rng_seed))
-    e = effects[index]
-    p = probs[index]
-    if p <= t:
-        # a zero-probability branch is drawn only through rounding: refuse to divide by it
-        raise ValueError(f"drawn outcome {index} has vanishing probability {p}")
-    if isinstance(m, ProjectiveMeasurement):
-        post = e @ rho @ dagger(e) / p
-    else:
-        root = _psd_sqrt(e)
-        post = root @ rho @ root / p
-    return index, post
-
-
-def unitary_channel(u) -> KrausChannel:
-    """Nonselective channel rho -> U rho U^dag."""
-    u = qmat.as_complex_matrix(u)
-    if u.shape[0] != u.shape[1]:
-        raise DimensionMismatchError("unitary must be square")
-    if qmat.frobenius_distance(dagger(u) @ u, np.eye(u.shape[0])) > qmat.tolerance() * u.shape[0]:
-        raise ValueError("matrix is not unitary")
-    return KrausChannel((u,))
-
-
-def luders_channel(m: ProjectiveMeasurement) -> KrausChannel:
-    """Nonselective measurement channel rho -> sum_i P_i rho P_i."""
-    return KrausChannel(m.projectors)

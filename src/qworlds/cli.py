@@ -189,7 +189,7 @@ def _run_bitcommit(req: ScenarioRequest, world: World) -> tuple[dict, dict]:
     concealed, distance = concealment_check(commit.attack_scheme, world)
     results = {
         "honest_scheme": commit.honest_scheme_name,
-        "attack_scheme": "bb84",
+        "attack_scheme": commit.attack_scheme_name,
         "honest_acceptance": commit.honest_acceptance,
         "attack_acceptance": commit.attack_acceptance,
         "min_attack_acceptance": min(commit.attack_acceptance),

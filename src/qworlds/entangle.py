@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from .channels import GeneralizedMeasurement, ProjectiveMeasurement
+from .channels import GeneralizedMeasurement
 from .qmat import DimensionMismatchError, dagger
 
 _RANK_CUTOFF = 1e-12  # spectral weight below which a branch counts as absent
@@ -182,10 +182,6 @@ def bell_basis() -> list[np.ndarray]:
         np.array([s, 0, 0, -s], dtype=complex),
         np.array([s, 0, 0, s], dtype=complex),
     ]
-
-
-def bell_measurement() -> ProjectiveMeasurement:
-    return ProjectiveMeasurement(tuple(qmat.projector(v) for v in bell_basis()))
 
 
 def singlet_vector() -> np.ndarray:

@@ -223,7 +223,7 @@ def run_commitment(scheme: CommitmentScheme, strategy, world, rng_seed: int) -> 
 
     if isinstance(strategy, Honest):
         ens = scheme.ensemble(strategy.bit)
-        index = int(rng.choice(len(ens.members), p=ens.probabilities / ens.probabilities.sum()))
+        index = qmat.sample_index(ens.probabilities, rng)
         member = ens.members[index]
         received = world.transmit(member)
         acceptance = float(np.real(np.trace(member @ received)))
@@ -276,6 +276,7 @@ class CommitmentRound(NamedTuple):
     honest_scheme: CommitmentScheme
     honest_scheme_name: str
     attack_scheme: CommitmentScheme
+    attack_scheme_name: str
     honest_acceptance: list[float]
     attack_transcripts: list[ProtocolTranscript]
     attack_acceptance: list[float]
@@ -290,20 +291,19 @@ def commitment_round(world, rng: np.random.Generator) -> CommitmentRound:
     when both unveilings are accepted with probability 1 within REPORT_EDGE.
     Every round at one τ shares one pair of schemes, and so their EPR setup.
     """
-    attack_scheme, classical = _reference_schemes(qmat.tolerance())
-    honest_name = "classical" if world.kind == "classical" else "bb84"
-    honest_scheme = classical if honest_name == "classical" else attack_scheme
+    bb84, classical = _reference_schemes(qmat.tolerance())
+    honest_name, honest_scheme = ("classical", classical) if world.kind == "classical" else ("bb84", bb84)
     honest = [
         run_commitment(honest_scheme, Honest(bit), world, int(rng.integers(2**63))).acceptance_probability
         for bit in (0, 1)
     ]
     transcripts = [
-        run_commitment(attack_scheme, EprAttack(bit), world, int(rng.integers(2**63)))
+        run_commitment(bb84, EprAttack(bit), world, int(rng.integers(2**63)))
         for bit in (0, 1)
     ]
     attack = [t.acceptance_probability for t in transcripts]
     return CommitmentRound(
-        honest_scheme, honest_name, attack_scheme, honest, transcripts, attack,
+        honest_scheme, honest_name, bb84, "bb84", honest, transcripts, attack,
         min(attack) >= 1.0 - REPORT_EDGE,
     )
 
@@ -380,14 +380,3 @@ def _marginal_shifts(rho, dims: tuple[int, int], kraus_rows, totals, t: float) -
     # sums Tr_A[(K x I) rho (K x I)^dagger] over every K
     after = qmat.marginal_b_after(kraus_rows, rho, dims, kraus_rows)
     return np.linalg.norm(before - after, axis=(-2, -1))
-
-
-def selective_steering_contrast(state: BipartiteState, measurement) -> float:
-    """Largest Frobenius distance of any steered conditional from Bob's marginal."""
-    marginal = state.marginal_b()
-    contrast = 0.0
-    for p, cond in steered_branches(state, measurement):
-        if cond is None:
-            continue
-        contrast = max(contrast, qmat.frobenius_distance(cond, marginal))
-    return contrast

@@ -19,8 +19,6 @@ read-only (n, rows, cols) stack, built and checked once by `_member_stack`.
 
 from __future__ import annotations
 
-from functools import reduce
-
 import numpy as np
 
 DEFAULT_TOL = 1e-9
@@ -198,14 +196,6 @@ def projector(v) -> np.ndarray:
     """Rank-1 projector |v><v| from a vector."""
     v = np.asarray(v, dtype=complex).reshape(-1)
     return np.outer(v, np.conj(v))
-
-
-def tensor(*factors) -> np.ndarray:
-    """Kronecker product with the first factor's index as the major index."""
-    if not factors:
-        raise ValueError("tensor needs at least one factor")
-    mats = [as_complex_matrix(f) for f in factors]
-    return reduce(np.kron, mats)
 
 
 def kron_pairs(a, b) -> np.ndarray:

@@ -271,7 +271,7 @@ def _complex_rows(mat: np.ndarray, digits: int = 12) -> list:
 def _commitment_battery(world: World, rng: np.random.Generator) -> tuple[bool, dict]:
     commit = commitment_round(world, rng)
     witness = {
-        "attack_scheme": "bb84",
+        "attack_scheme": commit.attack_scheme_name,
         "honest_scheme": commit.honest_scheme_name,
         "honest_acceptance": commit.honest_acceptance,
         "acceptance_by_bit": commit.attack_acceptance,

@@ -224,10 +224,6 @@ def apply_nonselective_by_kraus(kraus_ops, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def outcome_probabilities_by_effect(effects, rho: np.ndarray) -> np.ndarray:
-    return np.array([float(np.real(np.trace(e @ rho))) for e in effects])
-
-
 def steered_branches_by_effect(effects, rho: np.ndarray, dims: tuple[int, int]) -> list:
     branches = []
     for e in effects:
@@ -243,21 +239,6 @@ def steered_branches_by_effect(effects, rho: np.ndarray, dims: tuple[int, int]) 
 
 def ensemble_average_by_member(probabilities, members) -> np.ndarray:
     return sum(p * m for p, m in zip(probabilities, members))
-
-
-def naimark_by_effect(effects) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The dilation's embedding, one effect's square root at a time, and its joint blocks."""
-    roots = []
-    for e in effects:
-        w, v = qmat.eigh(e)
-        roots.append((v * np.sqrt(np.clip(w, 0.0, None))) @ np.conj(v).T)
-    n, d = len(effects), effects[0].shape[0]
-    joint = []
-    for i in range(n):
-        block = np.zeros((n * d, n * d), dtype=complex)
-        block[i * d : (i + 1) * d, i * d : (i + 1) * d] = np.eye(d)
-        joint.append(block)
-    return np.vstack(roots), joint
 
 
 def classical_broadcaster_by_row(basis: np.ndarray) -> list[np.ndarray]:

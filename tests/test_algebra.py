@@ -10,11 +10,8 @@ from qworlds.algebra import (
     CloneRefusal,
     broadcast_check,
     classical_broadcaster,
-    classical_state,
     clone_orthogonal_pair,
     is_commutative,
-    is_pure_state,
-    kinematically_independent,
 )
 from qworlds.channels import KrausChannel, apply_nonselective
 
@@ -44,28 +41,6 @@ def test_block_algebra_validation():
         BlockAlgebra((0, 2))
 
 
-def test_kinematic_independence_of_tensor_factors():
-    sz_i = np.kron(qmat.PAULI_Z, np.eye(2))
-    i_sx = np.kron(np.eye(2), qmat.PAULI_X)
-    sx_i = np.kron(qmat.PAULI_X, np.eye(2))
-    assert kinematically_independent([sz_i], [i_sx])
-    assert not kinematically_independent([sz_i], [sx_i])
-
-
-def test_kinematic_independence_over_full_operator_bases():
-    units = [np.zeros((2, 2), dtype=complex) for _ in range(4)]
-    for k, (i, j) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
-        units[k][i, j] = 1.0
-    a_ops = [np.kron(u, np.eye(2)) for u in units]
-    b_ops = [np.kron(np.eye(2), u) for u in units]
-    assert kinematically_independent(a_ops, b_ops)
-
-
-def test_kinematic_independence_dimension_mismatch():
-    with pytest.raises(qmat.DimensionMismatchError):
-        kinematically_independent([np.eye(2)], [np.eye(4)])
-
-
 def test_algebra_state_invariants():
     algebra = BlockAlgebra((1, 2))
     state = AlgebraState(algebra, [0.25, 0.75], (np.eye(1), np.eye(2) / 2))
@@ -75,12 +50,12 @@ def test_algebra_state_invariants():
     with pytest.raises(ValueError):
         AlgebraState(algebra, [0.5, 0.5], (np.eye(1), np.eye(2)))  # trace 2 block
     # immutable: a reassigned or edited weight would bypass the checks above
-    s = classical_state([0.5, 0.5])
+    s = AlgebraState(BlockAlgebra((1, 1)), [0.5, 0.5], (np.eye(1), np.eye(1)))
     with pytest.raises(dataclasses.FrozenInstanceError):
         s.weights = np.array([1.0, 0.0])
     with pytest.raises(ValueError):
         s.weights[0] = 7.0
-    assert not is_pure_state(s)
+    assert np.array_equal(s.weights, [0.5, 0.5])
     # the state holds copies: the caller's later writes do not reach it
     block = np.eye(2, dtype=complex) / 2  # complex128: validated without a copy
     state = AlgebraState(algebra, [0.25, 0.75], (np.eye(1), block))
@@ -88,22 +63,6 @@ def test_algebra_state_invariants():
     assert block.flags.writeable and state.densities[1][0, 0] == 0.5
     with pytest.raises(ValueError):
         state.densities[1][0, 0] = 7.0
-
-
-def test_pure_state_flag_iff_single_idempotent_block():
-    algebra = BlockAlgebra((1, 2))
-    pure = AlgebraState(algebra, [0.0, 1.0], (np.eye(1), np.diag([1.0, 0.0]).astype(complex)))
-    mixed_density = AlgebraState(algebra, [0.0, 1.0], (np.eye(1), np.eye(2) / 2))
-    split_weight = AlgebraState(algebra, [0.5, 0.5], (np.eye(1), np.diag([1.0, 0.0]).astype(complex)))
-    assert is_pure_state(pure)
-    assert not is_pure_state(mixed_density)
-    assert not is_pure_state(split_weight)
-
-
-def test_classical_state_lives_on_all_one_blocks():
-    state = classical_state([0.2, 0.3, 0.5])
-    assert is_commutative(state.algebra)
-    assert np.allclose(np.diag(state.to_density()).real, [0.2, 0.3, 0.5])
 
 
 def test_broadcaster_copies_basis_state_exactly():
@@ -163,9 +122,8 @@ def test_states_of_commutative_algebras_always_broadcast():
     for _ in range(20):
         n = int(rng.integers(2, 5))
         channel = classical_broadcaster(np.eye(n, dtype=complex))
-        pair = (classical_state(rng.dirichlet(np.ones(n))), classical_state(rng.dirichlet(np.ones(n))))
-        for state in pair:
-            ok, deviation = broadcast_check(channel, state.to_density())
+        for w in (rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))):
+            ok, deviation = broadcast_check(channel, np.diag(w))
             assert ok and deviation < 1e-12
 
 

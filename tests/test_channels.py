@@ -11,24 +11,15 @@ from qworlds.channels import (
     KrausChannel,
     ProjectiveMeasurement,
     apply_nonselective,
-    apply_selective,
     dephase,
-    dilate_povm,
-    luders_channel,
-    outcome_probabilities,
-    sample_outcome,
-    unitary_channel,
 )
-from qworlds.entangle import SteeringExampleConfig, bell_basis, schmidt, singlet_vector, steering_states
+from qworlds.entangle import schmidt, singlet_vector
 
 from tests.oracles import (
     apply_nonselective_by_kraus,
     dephase_by_loops,
-    naimark_by_effect,
-    outcome_probabilities_by_effect,
     rand_channel,
     rand_density,
-    rand_povm,
     rand_unitary,
 )
 
@@ -45,25 +36,25 @@ def test_kraus_validation():
         KrausChannel((np.eye(2) * 1.5,))
     sub = KrausChannel((np.eye(2) * 0.5,))  # selective, sub-normalized
     assert not sub.is_trace_preserving()
-    assert unitary_channel(np.eye(2)).is_trace_preserving()
+    assert KrausChannel((np.eye(2),)).is_trace_preserving()
 
 
 def test_unitary_channel_preserves_spectrum():
     rng = np.random.default_rng(3)
     u = rand_unitary(rng, 3)
     rho = rand_density(rng, 3)
-    out = apply_nonselective(unitary_channel(u), rho)
+    out = apply_nonselective(KrausChannel((u,)), rho)
     assert np.allclose(np.linalg.eigvalsh(out), np.linalg.eigvalsh(rho), atol=1e-12)
 
 
 def test_identity_channel_is_identity():
     rng = np.random.default_rng(5)
     rho = rand_density(rng, 2)
-    assert np.allclose(apply_nonselective(unitary_channel(np.eye(2)), rho), rho, atol=1e-14)
+    assert np.allclose(apply_nonselective(KrausChannel((np.eye(2),)), rho), rho, atol=1e-14)
 
 
 def test_luders_channel_on_plus_x():
-    out = apply_nonselective(luders_channel(sigma_z_measurement()), PLUS_X)
+    out = apply_nonselective(KrausChannel(sigma_z_measurement().projectors), PLUS_X)
     assert np.allclose(out, np.eye(2) / 2, atol=1e-14)
 
 
@@ -85,33 +76,6 @@ def test_channels_preserve_trace_and_positivity():
         assert float(w.min()) > -qmat.tolerance()
 
 
-def test_selective_update_examples():
-    p0 = qmat.projector([1, 0])
-    prob, post = apply_selective(p0, qmat.projector([1, 0]))
-    assert prob == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(post, qmat.projector([1, 0]), atol=1e-12)
-
-    prob, post = apply_selective(p0, qmat.projector([0, 1]))
-    assert prob == pytest.approx(0.0, abs=1e-12)
-    assert post is None
-
-    prob, post = apply_selective(p0, PLUS_X)
-    assert prob == pytest.approx(0.5, abs=1e-12)
-    assert np.allclose(post, qmat.projector([1, 0]), atol=1e-12)
-
-
-def test_selective_rejects_nonidempotent():
-    with pytest.raises(ValueError):
-        apply_selective(np.eye(2) * 0.5, np.eye(2, dtype=complex) / 2)
-
-
-def test_selective_probabilities_resolve_unity():
-    rng = np.random.default_rng(11)
-    rho = rand_density(rng, 2)
-    total = sum(apply_selective(p, rho)[0] for p in sigma_z_measurement().projectors)
-    assert abs(total - 1.0) < qmat.tolerance()
-
-
 def test_projective_measurement_validation():
     with pytest.raises(ValueError):
         ProjectiveMeasurement((qmat.projector([1, 0]), PLUS_X))  # not orthogonal
@@ -127,48 +91,6 @@ def test_generalized_measurement_validation():
         GeneralizedMeasurement((np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])))
     with pytest.raises(ValueError):
         GeneralizedMeasurement((np.eye(2) * 0.4,))
-
-
-def test_dilation_returns_projective_measurement_unchanged():
-    m = sigma_z_measurement()
-    dilation = dilate_povm(m)
-    assert dilation.ancilla_dim == 1
-    assert dilation.joint is m
-    assert np.array_equal(dilation.embed, np.eye(2))
-
-    as_povm = GeneralizedMeasurement(m.projectors)
-    dilation = dilate_povm(as_povm)
-    assert dilation.ancilla_dim == 1
-    assert all(np.array_equal(a, b) for a, b in zip(dilation.joint.projectors, m.projectors))
-
-
-def test_dilation_reproduces_steering_povm_statistics():
-    config = SteeringExampleConfig(0.6, 0.8)
-    effects = tuple(0.5 * qmat.projector(v) for v in steering_states(config))
-    povm = GeneralizedMeasurement(effects)
-    assert not povm.is_projective()
-    dilation = dilate_povm(povm)
-    assert dilation.ancilla_dim == 4
-    rng = np.random.default_rng(13)
-    for _ in range(100):
-        rho = rand_density(rng, 2)
-        direct = outcome_probabilities(povm, rho)
-        embedded = dilation.embed @ rho @ np.conj(dilation.embed).T
-        joint = outcome_probabilities(dilation.joint, embedded)
-        assert np.allclose(direct, joint, atol=1e-10)
-
-
-def test_dilation_reproduces_random_three_outcome_povm():
-    rng = np.random.default_rng(17)
-    a = rand_density(rng, 2) * 0.4
-    b = rand_density(rng, 2) * 0.3
-    povm = GeneralizedMeasurement((a, b, np.eye(2) - a - b))
-    dilation = dilate_povm(povm)
-    for _ in range(20):
-        rho = rand_density(rng, 2)
-        direct = outcome_probabilities(povm, rho)
-        embedded = dilation.embed @ rho @ np.conj(dilation.embed).T
-        assert np.allclose(direct, outcome_probabilities(dilation.joint, embedded), atol=1e-10)
 
 
 def test_dephase_zero_strength_is_identity():
@@ -225,69 +147,9 @@ def test_dephase_validation():
         DephasingChannel(np.full((2, 2), np.nan, dtype=complex), 0.5)
 
 
-def test_sample_outcome_certain_result():
-    m = sigma_z_measurement()
-    for seed in (0, 1, 12345):
-        index, post = sample_outcome(m, qmat.projector([1, 0]), seed)
-        assert index == 0
-        assert np.allclose(post, qmat.projector([1, 0]), atol=1e-12)
-
-
-def test_sample_outcome_deterministic_for_fixed_seed():
-    m = sigma_z_measurement()
-    first = [sample_outcome(m, PLUS_X, seed)[0] for seed in range(50)]
-    second = [sample_outcome(m, PLUS_X, seed)[0] for seed in range(50)]
-    assert first == second
-    assert len(set(first)) == 2  # both outcomes appear
-
-
-def test_bell_measurement_frequencies_on_steering_state():
-    config = SteeringExampleConfig(0.6, 0.8)
-    phi1 = steering_states(config)[0]
-    joint = qmat.projector(np.kron(phi1, singlet_vector()))
-    projs = tuple(np.kron(qmat.projector(v), np.eye(2, dtype=complex)) for v in bell_basis())
-    m = ProjectiveMeasurement(projs)
-    counts = np.zeros(4)
-    n = 10_000
-    for seed in range(n):
-        index, _ = sample_outcome(m, joint, seed)
-        counts[index] += 1
-    freqs = counts / n
-    assert np.all(np.abs(freqs - 0.25) < 0.02)
-
-
 def test_nonselective_dimension_mismatch():
     with pytest.raises(qmat.DimensionMismatchError):
-        apply_nonselective(unitary_channel(np.eye(2)), np.eye(3, dtype=complex) / 3)
-
-
-def test_povm_update_equals_dilation_projective_update():
-    config = SteeringExampleConfig(0.6, 0.8)
-    povm = GeneralizedMeasurement(tuple(0.5 * qmat.projector(v) for v in steering_states(config)))
-    rng = np.random.default_rng(37)
-    rho = rand_density(rng, 2)
-    index, post = sample_outcome(povm, rho, 5)
-    dilation = dilate_povm(povm)
-    embedded = dilation.embed @ rho @ np.conj(dilation.embed).T
-    pi = dilation.joint.projectors[index]
-    p = float(np.real(np.trace(pi @ embedded)))
-    joint_post = pi @ embedded @ pi / p
-    traced = qmat.partial_trace(joint_post, (dilation.ancilla_dim, 2), "B")
-    assert np.allclose(post, traced, atol=1e-12)
-
-
-def test_sample_outcome_povm_luders_update():
-    config = SteeringExampleConfig(0.6, 0.8)
-    effects = tuple(0.5 * qmat.projector(v) for v in steering_states(config))
-    povm = GeneralizedMeasurement(effects)
-    rng = np.random.default_rng(31)
-    rho = rand_density(rng, 2)
-    index, post = sample_outcome(povm, rho, 7)
-    # manual sqrt(E) rho sqrt(E) / p for the rank-1 effect
-    v = steering_states(config)[index]
-    root = np.sqrt(0.5) * qmat.projector(v)
-    p = float(np.real(np.trace(effects[index] @ rho)))
-    assert np.allclose(post, root @ rho @ root / p, atol=1e-12)
+        apply_nonselective(KrausChannel((np.eye(2),)), np.eye(3, dtype=complex) / 3)
 
 
 def test_stacked_dephasing_matches_per_channel_calls_bit_for_bit():
@@ -311,10 +173,7 @@ def test_channels_and_schmidt_data_are_immutable_and_leave_the_callers_arrays_wr
     dephasing = DephasingChannel(eye, 0.5)
     with pytest.raises(dataclasses.FrozenInstanceError):
         dephasing.strength = 7.0
-    dilation = dilate_povm(GeneralizedMeasurement((0.5 * eye, 0.5 * eye)))
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        dilation.embed = np.zeros((4, 2))
-    for array in (k.kraus_ops[0], dec.a_basis, dec.b_basis, dec.coefficients, dephasing.basis, dilation.embed):
+    for array in (k.kraus_ops[0], dec.a_basis, dec.b_basis, dec.coefficients, dephasing.basis):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 2.0
     assert k.is_trace_preserving()
@@ -328,12 +187,6 @@ def test_stacked_channel_and_measurement_kernels_match_the_per_member_loops_bit_
         rho = rand_density(rng, d)
         channel = KrausChannel(tuple(rand_channel(rng, d, 3)))
         assert np.array_equal(apply_nonselective(channel, rho), apply_nonselective_by_kraus(channel.kraus_ops, rho))
-        povm = GeneralizedMeasurement(rand_povm(rng, d, 3))
-        assert np.array_equal(outcome_probabilities(povm, rho), outcome_probabilities_by_effect(povm.effects, rho))
-        dilation = dilate_povm(povm)
-        embed, joint = naimark_by_effect(povm.effects)
-        assert np.array_equal(dilation.embed, embed)
-        assert np.array_equal(dilation.joint.projectors, joint)
 
 
 def test_kraus_channel_is_one_checked_read_only_stack():

@@ -11,7 +11,6 @@ from qworlds.entangle import (
     SteeringExampleConfig,
     UnsupportedTargetError,
     bell_basis,
-    bell_measurement,
     canonical_chsh_settings,
     chsh_score,
     correlation,
@@ -136,7 +135,7 @@ def test_hjw_eigen_ensemble_gives_projective_measurement():
     target = Ensemble.from_pure_states(w, [v[:, k] for k in range(2)])
     psi = purify(rho, 2)
     m = hjw_steering_measurement(psi, (2, 2), target)
-    assert m.is_projective()
+    ProjectiveMeasurement(m.effects)  # raises unless the effects are orthogonal projectors
     ens = steer(BipartiteState(qmat.projector(psi), (2, 2)), m)
     for p, member, q, t in zip(ens.probabilities, ens.members, w, target.members):
         assert p == pytest.approx(q, abs=1e-10)
@@ -150,7 +149,7 @@ def test_hjw_four_state_example_via_bell_route_and_povm_route():
     # ancilla route: prepare phi_1 on A', measure (A', A) in the Bell basis
     phi1 = steering_states(config)[0]
     joint = BipartiteState(qmat.projector(np.kron(phi1, singlet_vector())), (4, 2))
-    ens = steer(joint, bell_measurement())
+    ens = steer(joint, ProjectiveMeasurement(tuple(qmat.projector(v) for v in bell_basis())))
     assert np.allclose(ens.probabilities, [0.25] * 4, atol=1e-10)
     for member, t in zip(ens.members, target.members):
         assert float(np.real(np.trace(member @ t))) == pytest.approx(1.0, abs=1e-10)

@@ -14,8 +14,6 @@ from qworlds.channels import (
     GeneralizedMeasurement,
     KrausChannel,
     ProjectiveMeasurement,
-    luders_channel,
-    unitary_channel,
 )
 from qworlds.cli import ScenarioRequest, run_scenario
 from qworlds.entangle import BipartiteState, Ensemble, epr_singlet, purify, steered_branches
@@ -32,7 +30,6 @@ from qworlds.protocols import (
     no_signaling_trial,
     point_mass_distribution,
     run_commitment,
-    selective_steering_contrast,
 )
 from qworlds.worlds import World
 
@@ -43,8 +40,6 @@ from tests.oracles import (
     rand_channel,
     rand_density,
 )
-
-SQRT_HALF = 1 / np.sqrt(2)
 
 
 def z_measurement():
@@ -195,12 +190,12 @@ def test_classical_unique_decomposition_rejects_noncommutative_algebra():
 
 
 def test_no_signaling_for_luders_channel_on_singlet():
-    distance = no_signaling_trial(epr_singlet(), luders_channel(z_measurement()))
+    distance = no_signaling_trial(epr_singlet(), KrausChannel(z_measurement().projectors))
     assert distance < 1e-12
 
 
 def test_no_signaling_identity_channel():
-    assert no_signaling_trial(epr_singlet(), unitary_channel(np.eye(2))) == pytest.approx(0.0, abs=1e-15)
+    assert no_signaling_trial(epr_singlet(), KrausChannel((np.eye(2),))) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_no_signaling_random_sweep():
@@ -252,37 +247,6 @@ def test_no_signaling_rejects_selective_channel():
     selective = KrausChannel((np.diag([1.0, 0.0]).astype(complex),))
     with pytest.raises(ValueError):
         no_signaling_trial(epr_singlet(), selective)
-
-
-def test_selective_steering_contrast_examples():
-    rng = np.random.default_rng(23)
-    product = BipartiteState(np.kron(rand_density(rng, 2), rand_density(rng, 2)), (2, 2))
-    assert selective_steering_contrast(product, z_measurement()) == pytest.approx(0.0, abs=1e-10)
-
-    contrast = selective_steering_contrast(epr_singlet(), z_measurement())
-    assert contrast == pytest.approx(SQRT_HALF, abs=1e-12)
-
-
-def test_selective_steering_contrast_positive_for_nondegenerate_measurements():
-    from tests.oracles import rand_unitary
-
-    rng = np.random.default_rng(29)
-    singlet = epr_singlet()
-    for _ in range(10):
-        u = rand_unitary(rng, 2)
-        m = ProjectiveMeasurement((qmat.projector(u[:, 0]), qmat.projector(u[:, 1])))
-        assert selective_steering_contrast(singlet, m) > 0.1
-
-
-def test_selective_steering_contrast_bell_route():
-    from qworlds.entangle import SteeringExampleConfig, bell_basis, singlet_vector, steering_states
-
-    config = SteeringExampleConfig(0.6, 0.8)
-    phi1 = steering_states(config)[0]
-    joint = BipartiteState(qmat.projector(np.kron(phi1, singlet_vector())), (4, 2))
-    bell_on_a = ProjectiveMeasurement(tuple(qmat.projector(v) for v in bell_basis()))
-    contrast = selective_steering_contrast(joint, bell_on_a)
-    assert contrast == pytest.approx(SQRT_HALF, abs=1e-10)
 
 
 def test_transcript_invariants():
@@ -426,6 +390,15 @@ def test_reference_schemes_are_built_once_per_tolerance(monkeypatch):
         qmat.set_tolerance(caller_tol)
     run_ten()
     assert counts == {"purify": 3, "hjw": 6}  # only the latest tolerance is kept
+
+
+def test_commitment_round_names_the_schemes_it_ran():
+    bb84, classical = protocols._reference_schemes(qmat.tolerance())
+    cases = ((World.quantum(), "bb84", bb84), (World.classical(), "classical", classical))
+    for world, honest_name, honest_scheme in cases:
+        commit = protocols.commitment_round(world, np.random.default_rng(0))
+        assert (commit.honest_scheme_name, commit.attack_scheme_name) == (honest_name, "bb84")
+        assert commit.honest_scheme is honest_scheme and commit.attack_scheme is bb84
 
 
 REFERENCE_REQUESTS = [

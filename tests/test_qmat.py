@@ -1,4 +1,5 @@
 import inspect
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,14 +18,14 @@ NONFINITE = (np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf), co
 
 
 def test_tensor_of_identities_is_identity():
-    assert np.array_equal(qmat.tensor(np.eye(2), np.eye(2)), np.eye(4))
+    assert np.array_equal(qmat.kron_pairs(np.eye(2), np.eye(2)), np.eye(4))
 
 
 def test_tensor_of_projectors_is_product_projector():
     s = 1 / np.sqrt(2)
     plus = np.array([s, s])
     minus = np.array([s, -s])
-    left = qmat.tensor(qmat.projector(plus), qmat.projector(minus))
+    left = qmat.kron_pairs(qmat.projector(plus), qmat.projector(minus))
     right = qmat.projector(np.kron(plus, minus))
     assert np.allclose(left, right, atol=1e-15)
     w = np.linalg.eigvalsh(left)
@@ -41,24 +42,24 @@ def test_tensor_sigma_z_sigma_x_matches_hand_expansion():
         ],
         dtype=complex,
     )
-    assert np.array_equal(qmat.tensor(qmat.PAULI_Z, qmat.PAULI_X), expected)
+    assert np.array_equal(qmat.kron_pairs(qmat.PAULI_Z, qmat.PAULI_X), expected)
 
 
 def test_tensor_matches_loop_expansion_on_random_pair():
     rng = np.random.default_rng(11)
     a = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
     b = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-    assert np.allclose(qmat.tensor(a, b), kron_by_loops(a, b), atol=1e-13)
+    assert np.allclose(qmat.kron_pairs(a, b), kron_by_loops(a, b), atol=1e-13)
 
 
 def test_tensor_associative():
     a = np.array([[1, 2], [3, 4]], dtype=complex)
     b = np.array([[0, 1j], [-1j, 5]], dtype=complex)
     c = np.array([[2, 0], [7, 1]], dtype=complex)
-    assert np.array_equal(qmat.tensor(qmat.tensor(a, b), c), qmat.tensor(a, qmat.tensor(b, c)))
+    assert np.array_equal(qmat.kron_pairs(qmat.kron_pairs(a, b), c), qmat.kron_pairs(a, qmat.kron_pairs(b, c)))
     rng = np.random.default_rng(3)
     x, y, z = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
-    assert np.allclose(qmat.tensor(qmat.tensor(x, y), z), qmat.tensor(x, qmat.tensor(y, z)), atol=1e-14)
+    assert np.allclose(qmat.kron_pairs(qmat.kron_pairs(x, y), z), qmat.kron_pairs(x, qmat.kron_pairs(y, z)), atol=1e-14)
 
 
 def test_partial_trace_of_product_state():
@@ -153,8 +154,8 @@ def test_hermiticity_survives_symbolically_hermitian_closure():
     combos = [
         h1 + h2,
         h1 @ h2 + h2 @ h1,
-        qmat.tensor(h1, h2),
-        qmat.tensor(h1, h1) + qmat.tensor(h2, h2),
+        np.kron(h1, h2),
+        np.kron(h1, h1) + np.kron(h2, h2),
     ]
     for h in combos:
         assert float(np.max(np.abs(h - qmat.dagger(h)))) < qmat.tolerance()
@@ -197,6 +198,22 @@ def test_tolerance_override_roundtrip():
         assert qmat.tolerance() == np.finfo(float).eps
     finally:
         qmat.set_tolerance(qmat.DEFAULT_TOL)
+
+
+def test_sample_index_draws_by_weight_from_one_random_number():
+    weights = np.array([0.0, 0.3, 0.0, 0.7, 0.0])  # zero weights leading, in the middle and trailing
+    counts = np.zeros(weights.size)
+    for seed in range(10_000):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        index = qmat.sample_index(weights, rng)
+        assert qmat.sample_index(weights, twin) == index  # the same seed draws the same index
+        assert rng.random() == twin.random() == np.random.default_rng(seed).random(2)[1]  # one draw used
+        counts[index] += 1
+    assert counts[[0, 2, 4]].sum() == 0
+    assert np.all(np.abs(counts / counts.sum() - weights) < 0.02)
+    # draws that land exactly on a cumulative weight, which seeds almost never give, skip zero weights too
+    for u, index in ((0.0, 1), (0.3, 3), (np.nextafter(1.0, 0.0), 3)):
+        assert qmat.sample_index(weights, SimpleNamespace(random=lambda: u)) == index
 
 
 def test_no_library_function_takes_a_per_call_tolerance():
