@@ -41,6 +41,34 @@ def test_block_algebra_validation():
         BlockAlgebra((0, 2))
 
 
+def commute(a, b) -> bool:
+    return qmat.frobenius_distance(a @ b, b @ a) <= qmat.tolerance() * a.shape[0]
+
+
+def test_kinematic_independence_of_tensor_factors():
+    sz_i, sx_i = qmat.kron_pairs([qmat.PAULI_Z, qmat.PAULI_X], np.eye(2))
+    i_sx = qmat.kron_pairs(np.eye(2), qmat.PAULI_X)
+    assert commute(sz_i, i_sx) and commute(sx_i, i_sx)
+    assert not commute(sz_i, sx_i)
+
+
+def test_kinematic_independence_over_full_operator_bases():
+    units = np.eye(4, dtype=complex).reshape(4, 2, 2)
+    a_ops = qmat.kron_pairs(units, np.eye(2))
+    b_ops = qmat.kron_pairs(np.eye(2), units)
+    assert all(commute(a, b) for a in a_ops for b in b_ops)
+    assert not all(commute(a, b) for a in a_ops for b in a_ops)
+
+
+def test_kinematic_independence_dimension_mismatch():
+    # an operator is applied to one factor of a joint space only if it fits that factor
+    joint = np.eye(4, dtype=complex) / 4
+    with pytest.raises(qmat.DimensionMismatchError, match="side A of dim 2"):
+        qmat.marginal_b_after(np.eye(4), joint, (2, 2))
+    with pytest.raises(qmat.DimensionMismatchError):
+        qmat.partial_trace(np.eye(2), (2, 2), "A")
+
+
 def test_algebra_state_invariants():
     algebra = BlockAlgebra((1, 2))
     state = AlgebraState(algebra, [0.25, 0.75], (np.eye(1), np.eye(2) / 2))
@@ -64,6 +92,26 @@ def test_algebra_state_invariants():
     with pytest.raises(ValueError):
         state.densities[1][0, 0] = 7.0
 
+
+
+def is_idempotent(rho) -> bool:
+    return qmat.frobenius_distance(rho @ rho, rho) <= qmat.tolerance() * rho.shape[0]
+
+
+def test_pure_state_flag_iff_single_idempotent_block():
+    algebra = BlockAlgebra((1, 2))
+    pure = AlgebraState(algebra, [0.0, 1.0], (np.eye(1), np.diag([1.0, 0.0]).astype(complex)))
+    mixed_density = AlgebraState(algebra, [0.0, 1.0], (np.eye(1), np.eye(2) / 2))
+    split_weight = AlgebraState(algebra, [0.5, 0.5], (np.eye(1), np.diag([1.0, 0.0]).astype(complex)))
+    assert is_idempotent(pure.to_density())
+    assert not is_idempotent(mixed_density.to_density())
+    assert not is_idempotent(split_weight.to_density())
+
+
+def test_classical_state_lives_on_all_one_blocks():
+    state = AlgebraState(BlockAlgebra((1, 1, 1)), [0.2, 0.3, 0.5], (np.eye(1),) * 3)
+    assert is_commutative(state.algebra)
+    assert np.allclose(state.to_density(), np.diag([0.2, 0.3, 0.5]))
 
 def test_broadcaster_copies_basis_state_exactly():
     channel = classical_broadcaster(np.eye(2, dtype=complex))

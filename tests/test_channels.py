@@ -13,7 +13,15 @@ from qworlds.channels import (
     apply_nonselective,
     dephase,
 )
-from qworlds.entangle import schmidt, singlet_vector
+from qworlds.entangle import (
+    BipartiteState,
+    SteeringExampleConfig,
+    bell_basis,
+    schmidt,
+    singlet_vector,
+    steered_branches,
+    steering_states,
+)
 
 from tests.oracles import (
     apply_nonselective_by_kraus,
@@ -29,6 +37,29 @@ PLUS_X = qmat.projector([SQRT_HALF, SQRT_HALF])
 
 def sigma_z_measurement():
     return ProjectiveMeasurement((qmat.projector([1, 0]), qmat.projector([0, 1])))
+
+
+def branch_probabilities(measurement, rho) -> np.ndarray:
+    """trace(E_i rho) for each effect, as the branch weights of a state with a trivial side B."""
+    state = BipartiteState(rho, (measurement.dim, 1))
+    return np.array([p for p, _ in steered_branches(state, measurement)])
+
+
+def naimark_dilation(povm):
+    """The isometry sum_i |i> x sqrt(E_i), ancilla index major, and the ancilla's readout."""
+    w, v = qmat.eigh(povm.effects)
+    roots = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ qmat.dagger(v)
+    n, d = povm.n_outcomes, povm.dim
+    embed = KrausChannel((roots.reshape(n * d, d),))
+    readout = ProjectiveMeasurement(tuple(qmat.projector(row) for row in np.eye(n)))
+    return embed, readout
+
+
+def dilated_branches(povm, rho):
+    """Probability and Lüders update sqrt(E_i) rho sqrt(E_i) / p_i per outcome, read through the dilation."""
+    embed, readout = naimark_dilation(povm)
+    joint = BipartiteState(apply_nonselective(embed, rho), (readout.dim, povm.dim))
+    return steered_branches(joint, readout)
 
 
 def test_kraus_validation():
@@ -76,6 +107,33 @@ def test_channels_preserve_trace_and_positivity():
         assert float(w.min()) > -qmat.tolerance()
 
 
+def test_selective_update_examples():
+    branches = dilated_branches(sigma_z_measurement(), qmat.projector([1, 0]))
+    prob, post = branches[0]
+    assert prob == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(post, qmat.projector([1, 0]), atol=1e-12)
+
+    prob, post = dilated_branches(sigma_z_measurement(), qmat.projector([0, 1]))[0]
+    assert prob == pytest.approx(0.0, abs=1e-12)
+    assert post is None
+
+    prob, post = dilated_branches(sigma_z_measurement(), PLUS_X)[0]
+    assert prob == pytest.approx(0.5, abs=1e-12)
+    assert np.allclose(post, qmat.projector([1, 0]), atol=1e-12)
+
+
+def test_selective_rejects_nonidempotent():
+    with pytest.raises(ValueError, match="projector 0 is not idempotent"):
+        ProjectiveMeasurement((np.diag([1.0, 0.5]), np.diag([0.0, 0.5])))
+
+
+def test_selective_probabilities_resolve_unity():
+    rng = np.random.default_rng(11)
+    rho = rand_density(rng, 2)
+    total = sum(p for p, _ in dilated_branches(sigma_z_measurement(), rho))
+    assert abs(total - 1.0) < qmat.tolerance()
+
+
 def test_projective_measurement_validation():
     with pytest.raises(ValueError):
         ProjectiveMeasurement((qmat.projector([1, 0]), PLUS_X))  # not orthogonal
@@ -91,6 +149,42 @@ def test_generalized_measurement_validation():
         GeneralizedMeasurement((np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])))
     with pytest.raises(ValueError):
         GeneralizedMeasurement((np.eye(2) * 0.4,))
+
+
+def test_dilation_returns_projective_measurement_unchanged():
+    m = sigma_z_measurement()
+    embed, readout = naimark_dilation(m)
+    assert readout.dim == 2
+    assert np.allclose(embed.kraus_ops[0], m.projectors.reshape(4, 2), atol=1e-12)  # sqrt(P) = P
+
+    as_povm = GeneralizedMeasurement(m.projectors)
+    assert np.array_equal(ProjectiveMeasurement(as_povm.effects).projectors, m.projectors)
+
+
+def test_dilation_reproduces_steering_povm_statistics():
+    config = SteeringExampleConfig(0.6, 0.8)
+    effects = tuple(0.5 * qmat.projector(v) for v in steering_states(config))
+    povm = GeneralizedMeasurement(effects)
+    with pytest.raises(ValueError, match="not idempotent"):
+        ProjectiveMeasurement(effects)
+    embed, readout = naimark_dilation(povm)
+    assert readout.dim == 4 and embed.d_out == 8 and embed.is_trace_preserving()
+    rng = np.random.default_rng(13)
+    for _ in range(100):
+        rho = rand_density(rng, 2)
+        joint = [p for p, _ in dilated_branches(povm, rho)]
+        assert np.allclose(branch_probabilities(povm, rho), joint, atol=1e-10)
+
+
+def test_dilation_reproduces_random_three_outcome_povm():
+    rng = np.random.default_rng(17)
+    a = rand_density(rng, 2) * 0.4
+    b = rand_density(rng, 2) * 0.3
+    povm = GeneralizedMeasurement((a, b, np.eye(2) - a - b))
+    for _ in range(20):
+        rho = rand_density(rng, 2)
+        joint = [p for p, _ in dilated_branches(povm, rho)]
+        assert np.allclose(branch_probabilities(povm, rho), joint, atol=1e-10)
 
 
 def test_dephase_zero_strength_is_identity():
@@ -147,10 +241,73 @@ def test_dephase_validation():
         DephasingChannel(np.full((2, 2), np.nan, dtype=complex), 0.5)
 
 
+def test_sample_outcome_certain_result():
+    m = sigma_z_measurement()
+    branches = dilated_branches(m, qmat.projector([1, 0]))
+    for seed in (0, 1, 12345):
+        index = qmat.sample_index([p for p, _ in branches], np.random.default_rng(seed))
+        assert index == 0
+        assert np.allclose(branches[index][1], qmat.projector([1, 0]), atol=1e-12)
+
+
+def test_sample_outcome_deterministic_for_fixed_seed():
+    weights = branch_probabilities(sigma_z_measurement(), PLUS_X)
+    first = [qmat.sample_index(weights, np.random.default_rng(seed)) for seed in range(50)]
+    second = [qmat.sample_index(weights, np.random.default_rng(seed)) for seed in range(50)]
+    assert first == second
+    assert len(set(first)) == 2  # both outcomes appear
+
+
+def test_bell_measurement_frequencies_on_steering_state():
+    config = SteeringExampleConfig(0.6, 0.8)
+    phi1 = steering_states(config)[0]
+    joint = BipartiteState(qmat.projector(np.kron(phi1, singlet_vector())), (4, 2))
+    m = ProjectiveMeasurement(tuple(qmat.projector(v) for v in bell_basis()))
+    weights = np.array([p for p, _ in steered_branches(joint, m)])
+    assert np.allclose(weights, 0.25, atol=1e-12)
+    rng = np.random.default_rng(0)
+    counts = np.zeros(4)
+    n = 10_000
+    for _ in range(n):
+        counts[qmat.sample_index(weights, rng)] += 1
+    assert np.all(np.abs(counts / n - 0.25) < 0.02)
+
+
 def test_nonselective_dimension_mismatch():
     with pytest.raises(qmat.DimensionMismatchError):
         apply_nonselective(KrausChannel((np.eye(2),)), np.eye(3, dtype=complex) / 3)
 
+
+
+def test_povm_update_equals_dilation_projective_update():
+    config = SteeringExampleConfig(0.6, 0.8)
+    povm = GeneralizedMeasurement(tuple(0.5 * qmat.projector(v) for v in steering_states(config)))
+    rng = np.random.default_rng(37)
+    rho = rand_density(rng, 2)
+    index = qmat.sample_index(branch_probabilities(povm, rho), np.random.default_rng(5))
+    p, post = dilated_branches(povm, rho)[index]
+    embed, readout = naimark_dilation(povm)
+    embedded = apply_nonselective(embed, rho)
+    pi = np.kron(readout.projectors[index], np.eye(2))
+    joint_post = pi @ embedded @ pi / float(np.real(np.trace(pi @ embedded)))
+    traced = qmat.partial_trace(joint_post, (readout.dim, 2), "B")
+    assert np.allclose(post, traced, atol=1e-12)
+
+
+def test_sample_outcome_povm_luders_update():
+    config = SteeringExampleConfig(0.6, 0.8)
+    effects = tuple(0.5 * qmat.projector(v) for v in steering_states(config))
+    povm = GeneralizedMeasurement(effects)
+    rng = np.random.default_rng(31)
+    rho = rand_density(rng, 2)
+    index = qmat.sample_index(branch_probabilities(povm, rho), np.random.default_rng(7))
+    prob, post = dilated_branches(povm, rho)[index]
+    # manual sqrt(E) rho sqrt(E) / p for the rank-1 effect
+    v = steering_states(config)[index]
+    root = np.sqrt(0.5) * qmat.projector(v)
+    p = float(np.real(np.trace(effects[index] @ rho)))
+    assert prob == pytest.approx(p, abs=1e-12)
+    assert np.allclose(post, root @ rho @ root / p, atol=1e-12)
 
 def test_stacked_dephasing_matches_per_channel_calls_bit_for_bit():
     rng = np.random.default_rng(59)

@@ -42,8 +42,18 @@ from tests.oracles import (
 )
 
 
+SQRT_HALF = 1 / np.sqrt(2)
+
+
 def z_measurement():
     return ProjectiveMeasurement((qmat.projector([1, 0]), qmat.projector([0, 1])))
+
+
+def steering_contrast(state: BipartiteState, measurement) -> float:
+    """Largest Frobenius distance of any steered conditional from Bob's marginal."""
+    marginal = state.marginal_b()
+    conditionals = [cond for _, cond in steered_branches(state, measurement) if cond is not None]
+    return max(qmat.frobenius_distance(cond, marginal) for cond in conditionals)
 
 
 def test_scheme_requires_pure_members():
@@ -247,6 +257,37 @@ def test_no_signaling_rejects_selective_channel():
     selective = KrausChannel((np.diag([1.0, 0.0]).astype(complex),))
     with pytest.raises(ValueError):
         no_signaling_trial(epr_singlet(), selective)
+
+
+def test_selective_steering_contrast_examples():
+    rng = np.random.default_rng(23)
+    product = BipartiteState(np.kron(rand_density(rng, 2), rand_density(rng, 2)), (2, 2))
+    assert steering_contrast(product, z_measurement()) == pytest.approx(0.0, abs=1e-10)
+
+    contrast = steering_contrast(epr_singlet(), z_measurement())
+    assert contrast == pytest.approx(SQRT_HALF, abs=1e-12)
+
+
+def test_selective_steering_contrast_positive_for_nondegenerate_measurements():
+    from tests.oracles import rand_unitary
+
+    rng = np.random.default_rng(29)
+    singlet = epr_singlet()
+    for _ in range(10):
+        u = rand_unitary(rng, 2)
+        m = ProjectiveMeasurement((qmat.projector(u[:, 0]), qmat.projector(u[:, 1])))
+        assert steering_contrast(singlet, m) > 0.1
+
+
+def test_selective_steering_contrast_bell_route():
+    from qworlds.entangle import SteeringExampleConfig, bell_basis, singlet_vector, steering_states
+
+    config = SteeringExampleConfig(0.6, 0.8)
+    phi1 = steering_states(config)[0]
+    joint = BipartiteState(qmat.projector(np.kron(phi1, singlet_vector())), (4, 2))
+    bell_on_a = ProjectiveMeasurement(tuple(qmat.projector(v) for v in bell_basis()))
+    contrast = steering_contrast(joint, bell_on_a)
+    assert contrast == pytest.approx(SQRT_HALF, abs=1e-10)
 
 
 def test_transcript_invariants():
