@@ -15,6 +15,13 @@ prefixed with "stack member k:", k the index of the first failing member.
 
 Ensemble members, POVM effects and Kraus operators are each held as one
 read-only (n, rows, cols) stack, built and checked once by `_member_stack`.
+
+Positivity of density operators and POVM effects (no eigenvalue of the
+Hermitian part H below -τ) is certified for members of 9x9 and up by a
+Cholesky factorization of H + (τ/2)·I, where τ lies far enough above
+ε·‖H‖_F (`_cholesky_certifies`). Any stack it does not pass goes to
+`eigvalsh`, which decides the verdict and words the failure, so verdicts
+and messages are those of the eigenvalue rule.
 """
 
 from __future__ import annotations
@@ -132,10 +139,48 @@ def _positive(name: str):
     """Check that the Hermitian part of each member has no eigenvalue below -τ."""
 
     def check(s: np.ndarray, t: float):
+        if _cholesky_certifies(s, t):
+            return np.ones(s.shape[:-2], dtype=bool), None
         w = np.linalg.eigvalsh((s + dagger(s)) / 2.0)[..., 0]
         return w >= -t, lambda k: ValueError(f"{name} has negative eigenvalue {float(w[k])}")
 
     return check
+
+
+# The whole check, one matrix, one BLAS thread (numpy 2.4, OpenBLAS 0.3.31,
+# x86-64): eigvalsh 13 µs at 8x8, where Cholesky with its guard takes 15; at
+# 9x9 the two cost about the same, at 16x16 24 against 18 µs, at 64x64 280 against 86.
+_CHOLESKY_MIN_DIM = 9
+
+
+def _cholesky_certifies(s: np.ndarray, t: float) -> bool:
+    """Whether a Cholesky factorization proves that no member's Hermitian part H has an eigenvalue below -τ.
+
+    A factorization of A = H + (τ/2)·I that completes is exact for some
+    A + ΔA with ‖ΔA‖₂ ≤ γ_{n+1}·tr(A + ΔA) ≲ (n+1)·√n·ε·‖A‖_F (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 10), so
+    λ_min(H) ≥ -τ/2 - ‖ΔA‖₂. Only where τ ≥ 10³·n·ε·max(1, ‖H‖_F) for every
+    member, which keeps ‖ΔA‖₂ below τ/30 up to n = 64, is that at least -τ.
+    The norm factor matters: effects are checked before anything bounds
+    their norm. False decides nothing: the factorization failed, or the
+    members are too small or τ too close to ε for it to be tried.
+    """
+    n = s.shape[-1]
+    max_norm = t / (1e3 * n * _EPS)  # the largest ‖H‖_F the guard allows, once it is at least 1
+    if n < _CHOLESKY_MIN_DIM or max_norm < 1.0:
+        return False
+    # C order, whatever the caller's layout: the view and reshape below rely on it
+    a = np.ascontiguousarray((s + dagger(s)) / 2.0)
+    v = a.view(float)  # ‖H‖_F² is the sum of the squared real and imaginary parts
+    # a NaN norm fails the comparison, so non-finite members are left to eigvalsh
+    if not (np.einsum("...ij,...ij->...", v, v) <= max_norm * max_norm).all():
+        return False
+    a.reshape(a.shape[:-2] + (n * n,))[..., :: n + 1] += t / 2.0  # the diagonal, in place
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 _DENSITY = (_hermitian, _unit_trace, _positive("density operator"))

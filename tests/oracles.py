@@ -244,3 +244,13 @@ def ensemble_average_by_member(probabilities, members) -> np.ndarray:
 def classical_broadcaster_by_row(basis: np.ndarray) -> list[np.ndarray]:
     """Kraus operators (|i>|i>) <i| of the classical broadcaster, one basis row at a time."""
     return [np.outer(np.kron(v, v), np.conj(v)) for v in basis]
+
+
+def positivity_by_eigvalsh(s: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Positivity decided by eigenvalues alone: the rule the Cholesky certificate of `qmat` must agree with.
+
+    Over the last two axes. Returns the smallest eigenvalue of each member's
+    Hermitian part and whether it is at least -τ.
+    """
+    w = np.linalg.eigvalsh((s + np.conj(s).swapaxes(-1, -2)) / 2.0)[..., 0]
+    return w, w >= -t

@@ -1,4 +1,5 @@
 import inspect
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,8 +11,10 @@ from tests.oracles import (
     kron_by_loops,
     marginal_b_after_by_loops,
     partial_trace_by_loops,
+    positivity_by_eigvalsh,
     rand_density,
     rand_pure,
+    rand_unitary,
 )
 
 NONFINITE = (np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf), complex(0, -np.inf))
@@ -331,3 +334,146 @@ def test_stacked_density_check_fails_where_a_loop_over_the_members_fails_first()
     with pytest.raises(ValueError, match="expected a nonempty 2-D matrix"):
         qmat.require_density(stack)
     qmat._require_densities(np.delete(stack, [2, 5], axis=0), qmat.tolerance())
+
+
+# -- positivity: the Cholesky certificate and its eigvalsh fallback
+
+
+@contextmanager
+def _tolerance(t):
+    qmat.set_tolerance(t)
+    try:
+        yield
+    finally:
+        qmat.set_tolerance(qmat.DEFAULT_TOL)
+
+
+def _with_spectrum(rng, w) -> np.ndarray:
+    """Exactly Hermitian matrix with eigenvalues `w` in a Haar-random basis."""
+    u = rand_unitary(rng, len(w))
+    h = (u * w) @ np.conj(u).T
+    return (h + np.conj(h).T) / 2.0
+
+
+def _cholesky_at_its_error_bound(a):
+    """Stand-in for np.linalg.cholesky that completes wherever its backward-error bound allows.
+
+    A factorization that completes is exact for some A + ΔA with
+    ‖ΔA‖₂ ≤ γ_{n+1}·n·‖A‖₂ (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 10). So this completes on every member whose
+    smallest eigenvalue is at least -2·n·(n+1)·ε·‖A‖₂, the 2 allowing for
+    complex arithmetic, and raises as LAPACK does otherwise. It returns no
+    factor: the positivity check reads only whether it completes.
+    """
+    n = a.shape[-1]
+    w = np.linalg.eigvalsh(a)
+    slack = 2 * n * (n + 1) * np.finfo(float).eps * abs(w).max(axis=-1)
+    if (w[..., 0] < -slack).any():
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+
+@pytest.fixture(params=["lapack", "at its error bound"])
+def certificates(request, monkeypatch):
+    """Run with numpy's Cholesky or the stand-in at its error bound; list the factorizations that complete."""
+    factor = np.linalg.cholesky if request.param == "lapack" else _cholesky_at_its_error_bound
+    done = []
+
+    def cholesky(a):
+        factor(a)
+        done.append(a.shape)
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    return done
+
+
+def _assert_positivity_verdict(run, s, t, name):
+    """`run()` passes exactly where the eigenvalue rule passes `s`, and fails with its message."""
+    w, ok = positivity_by_eigvalsh(s, t)
+    if ok.all():
+        run()
+        return
+    with pytest.raises(ValueError) as failure:
+        run()
+    if s.ndim == 2:
+        assert str(failure.value) == f"{name} has negative eigenvalue {float(w)}"
+    else:
+        k = int(np.argmin(ok))
+        assert str(failure.value) == f"stack member {k}: {name} has negative eigenvalue {float(w[k])}"
+
+
+@pytest.mark.parametrize("t", [1e-12, 1e-9, 1e-4])
+@pytest.mark.parametrize("n", [9, 16, 64])
+def test_positivity_verdicts_match_the_eigenvalue_rule_near_minus_tau(n, t, certificates):
+    # smallest eigenvalue within 10τ of -τ on either side, the rest positive
+    rng = np.random.default_rng(n * 100 + round(-np.log10(t)))
+    densities, effects = [], []
+    for _ in range(6):
+        w = rng.uniform(0.01, 1.0, n)
+        w[0] = -t + rng.uniform(-10 * t, 10 * t)
+        w[1:] *= (1.0 - w[0]) / w[1:].sum()  # unit trace
+        densities.append(_with_spectrum(rng, w))
+        w[1:] *= 0.8 / (6 * w[1:].max())  # six effects leave the identity a positive remainder
+        effects.append(_with_spectrum(rng, w))
+    densities, effects = np.stack(densities), np.stack(effects)
+    _, dense_ok = positivity_by_eigvalsh(densities, t)
+    _, effect_ok = positivity_by_eigvalsh(effects, t)
+    assert 0 < dense_ok.sum() < 6 and 0 < effect_ok.sum() < 6
+    with _tolerance(t):
+        for rho in densities:
+            _assert_positivity_verdict(lambda: qmat.require_density(rho), rho, t, "density operator")
+        for stack in (densities, densities[dense_ok], np.asfortranarray(densities)):
+            _assert_positivity_verdict(
+                lambda: qmat._require_densities(stack, t), stack, t, "density operator"
+            )
+        for stack in (effects, effects[effect_ok]):
+            povm = np.concatenate([stack, [np.eye(n) - stack.sum(axis=0)]])
+            _assert_positivity_verdict(lambda: channels.GeneralizedMeasurement(povm), povm, t, "effect")
+    # at τ = 1e-12 the guard keeps the certificate off every member; above it, it passed some
+    assert bool(certificates) == (t > 1e-12)
+
+
+@pytest.mark.parametrize("name", ["density operator", "effect"])
+def test_positivity_failure_at_16x16_names_the_first_negative_member_with_its_eigenvalue(name):
+    rng = np.random.default_rng(59)
+    stack = np.stack([rand_density(rng, 16) for _ in range(5)])
+    for k in (2, 4):
+        w = rng.uniform(0.01, 1.0, 16)
+        w[0] = -1e-3
+        stack[k] = _with_spectrum(rng, w / w.sum())
+    run = {
+        "density operator": lambda: qmat._require_densities(stack, qmat.tolerance()),
+        "effect": lambda: channels.GeneralizedMeasurement(stack),
+    }[name]
+    with pytest.raises(ValueError) as failure:
+        run()
+    lowest, _ = positivity_by_eigvalsh(stack[2], qmat.tolerance())
+    assert str(failure.value) == f"stack member 2: {name} has negative eigenvalue {float(lowest)}"
+
+
+def test_positivity_at_machine_epsilon_makes_no_cholesky_call(monkeypatch):
+    factor, calls = np.linalg.cholesky, []
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or factor(a))
+    rho = np.eye(16, dtype=complex) / 16  # unit trace and sixteen of them the identity, exactly
+
+    def check():
+        qmat.require_density(rho)
+        qmat._require_densities(np.stack([rho, rho]), qmat.tolerance())
+        channels.GeneralizedMeasurement([rho] * 16)
+
+    with _tolerance(np.finfo(float).eps):
+        check()
+    assert calls == []
+    check()  # at the default τ the same checks are certified
+    assert calls == [(16, 16), (2, 16, 16), (16, 16, 16)]
+
+
+def test_large_norm_effect_with_an_eigenvalue_below_minus_tau_is_rejected(certificates):
+    # a Cholesky factorization of a matrix of norm 1e6 may complete although an
+    # eigenvalue lies 1e-7 below zero; the norm factor of the guard keeps it off
+    t = qmat.tolerance()
+    h = _with_spectrum(np.random.default_rng(61), np.r_[-1.5 * t, np.geomspace(1.0, 1e6, 15)])
+    lowest, ok = positivity_by_eigvalsh(h, t)
+    assert not ok and 1e6 <= np.linalg.norm(h) < 1.1e6
+    with pytest.raises(ValueError) as failure:
+        channels.GeneralizedMeasurement([h])
+    assert str(failure.value) == f"stack member 0: effect has negative eigenvalue {float(lowest)}"
