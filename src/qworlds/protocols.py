@@ -18,7 +18,7 @@ import numpy as np
 
 from . import qmat
 from .algebra import BlockAlgebra, is_commutative
-from .channels import KrausChannel, _trace_preserving
+from .channels import GeneralizedMeasurement, KrausChannel, _trace_preserving
 from .entangle import (
     BipartiteState,
     Ensemble,
@@ -40,19 +40,25 @@ _FLAG_EDGE = 1e-9
 _BROADCAST_GAP = 1e-3
 
 
+class _EprAttack(NamedTuple):
+    """A purification of the scheme average, and each bit's HJW measurement on Alice's half."""
+
+    pair: BipartiteState
+    measurements: tuple[GeneralizedMeasurement, GeneralizedMeasurement]
+
+
 @dataclass(frozen=True, eq=False)
 class CommitmentScheme:
     """Bit encodings: one pure-state ensemble per bit, over Bob's space.
 
     Immutable: the ensembles are validated once, at construction, and never
-    re-validated. The EPR attack's purification of the average and its
-    per-bit steering measurements depend only on the scheme and τ, so each
-    scheme builds them once and keeps those of the latest τ.
+    re-validated. The EPR attack depends only on the scheme and τ, so each
+    scheme builds it once and keeps that of the latest τ.
     """
 
     ensemble_0: Ensemble
     ensemble_1: Ensemble
-    # τ -> {"psi": purification, "pair": its state, "hjw": {bit: measurement}}; latest τ only
+    # τ -> its _EprAttack; latest τ only
     _epr_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -78,31 +84,17 @@ class CommitmentScheme:
         gap = qmat.frobenius_distance(self.ensemble_0.average(), self.ensemble_1.average())
         return gap <= qmat.tolerance() * self.dim
 
-    def _epr_setup(self, t: float) -> dict:
-        """The EPR-attack entries at τ = t, replacing those of any other τ."""
+    def _epr_attack(self, t: float) -> _EprAttack:
+        """The EPR attack at τ = t, replacing that of any other τ."""
         if t not in self._epr_memo:
             self._epr_memo.clear()
             d = self.dim
             psi = purify(self.average(), d)
-            self._epr_memo[t] = {
-                "psi": psi,
-                "pair": BipartiteState(qmat.projector(psi), (d, d)),
-                "hjw": {},
-            }
+            self._epr_memo[t] = _EprAttack(
+                BipartiteState(qmat.projector(psi), (d, d)),
+                tuple(hjw_steering_measurement(psi, (d, d), self.ensemble(b)) for b in (0, 1)),
+            )
         return self._epr_memo[t]
-
-    def _epr_pair(self, t: float) -> BipartiteState:
-        """Pair state of the purified average at τ = t, built once per t."""
-        return self._epr_setup(t)["pair"]
-
-    def _steering_measurement(self, bit: int, t: float):
-        """HJW measurement steering Bob into ensemble `bit` at τ = t, built once per (bit, t)."""
-        setup = self._epr_setup(t)
-        measurements = setup["hjw"]
-        if bit not in measurements:
-            d = self.dim
-            measurements[bit] = hjw_steering_measurement(setup["psi"], (d, d), self.ensemble(bit))
-        return measurements[bit]
 
 
 def bb84_scheme() -> CommitmentScheme:
@@ -150,46 +142,31 @@ class EprAttack:
     unveil_bit: int
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ProtocolTranscript:
-    """Phase-ordered record of one commitment run."""
+    """Phase-ordered record of one complete commitment run."""
 
     rng_seed: int
     commit_description: str
-    opened_bit: int | None = None
-    opened_index: int | None = None
-    accept: bool | None = None
-    acceptance_probability: float | None = None
-
-    def __post_init__(self):
-        opened = self.opened_bit is not None
-        verified = self.accept is not None
-        if opened != verified:
-            raise ValueError("verify record must be present exactly when open is")
-        if opened and self.opened_index is None:
-            raise ValueError("open record needs a claimed index")
-        if verified and self.acceptance_probability is None:
-            raise ValueError("verify record needs its acceptance probability")
+    opened_bit: int
+    opened_index: int
+    accept: bool
+    acceptance_probability: float
 
     def phases(self) -> tuple[str, ...]:
-        names = ["commit", "hold"]
-        if self.opened_bit is not None:
-            names += ["open", "verify"]
-        return tuple(names)
+        return ("commit", "hold", "open", "verify")
 
     def to_dict(self) -> dict:
-        out: dict = {
+        return {
             "phases": list(self.phases()),
             "rng_seed": int(self.rng_seed),
             "commit": {"description": self.commit_description},
-        }
-        if self.opened_bit is not None:
-            out["open"] = {"bit": int(self.opened_bit), "index": int(self.opened_index)}
-            out["verify"] = {
+            "open": {"bit": int(self.opened_bit), "index": int(self.opened_index)},
+            "verify": {
                 "accept": bool(self.accept),
                 "acceptance_probability": float(self.acceptance_probability),
-            }
-        return out
+            },
+        }
 
 
 class ConcealmentCheck(NamedTuple):
@@ -222,30 +199,21 @@ def run_commitment(scheme: CommitmentScheme, strategy, world, rng_seed: int) -> 
     rng = np.random.default_rng(rng_seed)
 
     if isinstance(strategy, Honest):
-        ens = scheme.ensemble(strategy.bit)
+        bit = strategy.bit
+        ens = scheme.ensemble(bit)
         index = qmat.sample_index(ens.probabilities, rng)
         member = ens.members[index]
-        received = world.transmit(member)
-        acceptance = float(np.real(np.trace(member @ received)))
-        accept = bool(rng.random() < acceptance)
-        return ProtocolTranscript(
-            rng_seed=rng_seed,
-            commit_description=f"honest pure member on dim {scheme.dim}",
-            opened_bit=strategy.bit,
-            opened_index=index,
-            accept=accept,
-            acceptance_probability=acceptance,
-        )
-
-    if isinstance(strategy, EprAttack):
-        d = scheme.dim
-        separated = world.separate(scheme._epr_pair(t))
-        target = scheme.ensemble(strategy.unveil_bit)
+        acceptance = fidelity = float(np.real(np.trace(member @ world.transmit(member))))
+        description = f"honest pure member on dim {scheme.dim}"
+    elif isinstance(strategy, EprAttack):
+        bit = strategy.unveil_bit
+        attack = scheme._epr_attack(t)
+        separated = world.separate(attack.pair)
+        target = scheme.ensemble(bit)  # raises on a bit outside {0, 1} before it indexes the measurements
         _require_average(
             target, separated.marginal_b(), t, "world transformation moved Bob's marginal off the target average"
         )
-        measurement = scheme._steering_measurement(strategy.unveil_bit, t)
-        branches = steered_branches(separated, measurement)
+        branches = steered_branches(separated, attack.measurements[bit])
         n_targets = len(target.members)
         fidelities = []
         for j, (p, cond) in enumerate(branches):
@@ -257,17 +225,11 @@ def run_commitment(scheme: CommitmentScheme, strategy, world, rng_seed: int) -> 
         probs = np.array([p for p, _ in branches])
         acceptance = float(np.dot(probs, fidelities) / probs.sum())
         index = qmat.sample_index(probs, rng)
-        accept = bool(rng.random() < fidelities[index])
-        return ProtocolTranscript(
-            rng_seed=rng_seed,
-            commit_description=f"purification half on dim {d} (EPR attack)",
-            opened_bit=strategy.unveil_bit,
-            opened_index=index,
-            accept=accept,
-            acceptance_probability=acceptance,
-        )
-
-    raise TypeError(f"unknown strategy {type(strategy).__name__}")
+        fidelity = fidelities[index]
+        description = f"purification half on dim {scheme.dim} (EPR attack)"
+    else:
+        raise TypeError(f"unknown strategy {type(strategy).__name__}")
+    return ProtocolTranscript(rng_seed, description, bit, index, bool(rng.random() < fidelity), acceptance)
 
 
 class CommitmentRound(NamedTuple):
@@ -289,7 +251,7 @@ def commitment_round(world, rng: np.random.Generator) -> CommitmentRound:
     Honest runs use a scheme the world carries intact (classical in the
     classical world, else BB84); the attack always targets BB84. It succeeds
     when both unveilings are accepted with probability 1 within REPORT_EDGE.
-    Every round at one τ shares one pair of schemes, and so their EPR setup.
+    Every round at one τ shares one pair of schemes, and so their EPR attack.
     """
     bb84, classical = _reference_schemes(qmat.tolerance())
     honest_name, honest_scheme = ("classical", classical) if world.kind == "classical" else ("bb84", bb84)

@@ -410,7 +410,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-IDENTITY_2 = _readonly(np.eye(2, dtype=complex))
 PAULI_X = _readonly(np.array([[0, 1], [1, 0]], dtype=complex))
 PAULI_Y = _readonly(np.array([[0, -1j], [1j, 0]], dtype=complex))
 PAULI_Z = _readonly(np.array([[1, 0], [0, -1]], dtype=complex))

@@ -284,7 +284,7 @@ def _commitment_battery(world: World, rng: np.random.Generator) -> tuple[bool, d
             classical_unique_decomposition(scheme.ensemble_0, scheme.ensemble_1, algebra)
         )
     if world.kind == "dephased" and world.strength > 0.0:
-        state = commit.attack_scheme._epr_pair(qmat.tolerance())  # the pair the attack used
+        state = commit.attack_scheme._epr_attack(qmat.tolerance()).pair  # the pair the attack used
         witness["dephasing_basis"] = _complex_rows(world.separation_basis(state))
     return commit.attack_succeeds, witness
 

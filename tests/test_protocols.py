@@ -16,7 +16,14 @@ from qworlds.channels import (
     ProjectiveMeasurement,
 )
 from qworlds.cli import ScenarioRequest, run_scenario
-from qworlds.entangle import BipartiteState, Ensemble, epr_singlet, purify, steered_branches
+from qworlds.entangle import (
+    AverageMismatchError,
+    BipartiteState,
+    Ensemble,
+    epr_singlet,
+    purify,
+    steered_branches,
+)
 from qworlds.protocols import (
     CommitmentScheme,
     ConcealmentCheck,
@@ -290,14 +297,48 @@ def test_selective_steering_contrast_bell_route():
     assert contrast == pytest.approx(SQRT_HALF, abs=1e-10)
 
 
-def test_transcript_invariants():
-    with pytest.raises(ValueError):
-        ProtocolTranscript(rng_seed=0, commit_description="x", opened_bit=0, opened_index=None)
-    with pytest.raises(ValueError):
-        ProtocolTranscript(rng_seed=0, commit_description="x", accept=True, acceptance_probability=1.0)
-    t = ProtocolTranscript(rng_seed=0, commit_description="x")
-    assert t.phases() == ("commit", "hold")
-    assert "open" not in t.to_dict()
+def test_transcripts_are_complete_frozen_records():
+    scheme = bb84_scheme()
+    for world in (World.quantum(), World.dephased(0.5), World.classical()):
+        for strategy in (Honest(0), Honest(1), EprAttack(0), EprAttack(1)):
+            t = run_commitment(scheme, strategy, world, rng_seed=4)
+            assert t.phases() == ("commit", "hold", "open", "verify")
+            doc = t.to_dict()
+            assert doc["phases"] == list(t.phases())
+            assert set(doc) == {"phases", "rng_seed", "commit", "open", "verify"}
+            assert set(doc["open"]) == {"bit", "index"}
+            assert set(doc["verify"]) == {"accept", "acceptance_probability"}
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                t.accept = not t.accept
+    with pytest.raises(TypeError):
+        ProtocolTranscript(
+            rng_seed=0, commit_description="x", opened_index=0, accept=True, acceptance_probability=1.0
+        )
+
+
+@pytest.mark.parametrize("world", (World.quantum(), World.dephased(0.5)), ids=("quantum", "dephased-0.5"))
+@pytest.mark.parametrize("strategy", (EprAttack, Honest))
+@pytest.mark.parametrize("bit", (-1, 2))
+def test_out_of_range_bits_raise(world, strategy, bit):
+    # -1 must not index the attack's measurements as bit 1
+    with pytest.raises(ValueError, match="bit must be 0 or 1"):
+        run_commitment(bb84_scheme(), strategy(bit), world, rng_seed=3)
+
+
+def test_attack_builds_both_bits_measurements_before_either_runs():
+    # concealing at τ·dim, but bit 1's average misses the pair's marginal by more than τ
+    z = Ensemble.from_pure_states([0.5, 0.5], [[1, 0], [0, 1]])
+    x = Ensemble.from_pure_states([0.5 + 1e-4, 0.5 - 1e-4], [[SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]])
+    caller_tol = qmat.tolerance()
+    try:
+        qmat.set_tolerance(1e-4)
+        scheme = CommitmentScheme(z, x)
+        assert scheme.is_concealing()
+        for bit in (0, 1):
+            with pytest.raises(AverageMismatchError, match="target ensemble average deviates"):
+                run_commitment(scheme, EprAttack(bit), World.quantum(), rng_seed=3)
+    finally:
+        qmat.set_tolerance(caller_tol)
 
 
 MEMO_WORLDS = (
@@ -372,12 +413,19 @@ def test_commitment_scheme_is_frozen():
 def test_epr_pair_and_steering_measurements_are_immutable():
     # each write once reached a scheme's EPR memo and turned an attack acceptance of 1 into 0.5
     scheme, t = bb84_scheme(), qmat.tolerance()
-    pair = scheme._epr_pair(t)
+    attack = scheme._epr_attack(t)
+    with pytest.raises(AttributeError):
+        attack.pair = BipartiteState(np.diag([0.25] * 4).astype(complex), (2, 2))
+    with pytest.raises(AttributeError):
+        attack.measurements = attack.measurements[::-1]
+    with pytest.raises(TypeError):
+        attack.measurements[0] = attack.measurements[1]
+    pair = attack.pair
     with pytest.raises(ValueError):
         pair.rho[...] = np.diag([0.25] * 4)
     with pytest.raises(dataclasses.FrozenInstanceError):
         pair.rho = np.diag([0.25] * 4).astype(complex)
-    measurement = scheme._steering_measurement(1, t)
+    measurement = attack.measurements[1]
     with pytest.raises(ValueError):
         measurement.effects[0][...] = measurement.effects[1]
     with pytest.raises(dataclasses.FrozenInstanceError):
