@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qmat
-from .channels import KrausChannel, apply_nonselective
+from .channels import KrausChannel, _kraus_totals, _trace_preserving
 from .qmat import DimensionMismatchError, dagger
 
 
@@ -94,10 +94,14 @@ def classical_broadcaster(basis) -> KrausChannel:
     Measures in the basis and prepares two copies of the observed basis state:
     rho -> sum_i <i|rho|i> |i><i| x |i><i|. Trace preserving by construction.
     """
-    b = qmat.require_orthonormal_basis(basis)
-    d = b.shape[0]
-    kets = (b[:, :, None] * b[:, None, :]).reshape(d, d * d, 1)  # kets[i] = |i>|i>
-    return KrausChannel(kets * np.conj(b)[:, None, :])  # member i: (|i>|i>) <i|, shape (d^2, d)
+    return KrausChannel(_broadcaster_kraus(qmat.require_orthonormal_basis(basis)))
+
+
+def _broadcaster_kraus(b: np.ndarray) -> np.ndarray:
+    """`classical_broadcaster`'s Kraus operators (|i>|i>) <i| for each basis of rows in a stack, unchecked."""
+    d = b.shape[-1]
+    kets = (b[..., :, :, None] * b[..., :, None, :]).reshape(b.shape[:-1] + (d * d, 1))  # kets[i] = |i>|i>
+    return kets * np.conj(b)[..., :, None, :]
 
 
 class BroadcastCheck(NamedTuple):
@@ -110,19 +114,34 @@ def broadcast_check(channel: KrausChannel, rho) -> BroadcastCheck:
 
     ok is True iff both marginals of the channel output equal the input within
     tolerance; deviation is the larger Frobenius distance of the two marginals
-    from the input. `apply_nonselective` validates `rho` against the channel.
+    from the input. `rho` is validated as `apply_nonselective` validates it.
     """
-    d = channel.d_in
-    if channel.d_out != d * d:
+    t = qmat.tolerance()
+    deviation = float(_broadcast_deviations(channel.kraus_ops, qmat._operands(rho, stack=False), t))
+    return BroadcastCheck(deviation <= t, deviation)
+
+
+def _broadcast_deviations(ks: np.ndarray, rho: np.ndarray, t: float) -> np.ndarray:
+    """`broadcast_check`'s deviations: Kraus sets (..., n, d^2, d) on states (..., d, d), leading axes broadcast.
+
+    Each check runs once on the whole stack and names the first failing member: finite and
+    not super-normalized sets, density operators of dim d, trace preservation.
+    """
+    d = ks.shape[-1]
+    if ks.shape[-2] != d * d:
         raise DimensionMismatchError(
-            f"broadcast channel must map dim {d} to dim {d * d}, got "
-            f"{channel.d_in} -> {channel.d_out}"
+            f"broadcast channel must map dim {d} to dim {d * d}, got {d} -> {ks.shape[-2]}"
         )
-    out = apply_nonselective(channel, rho)
-    dev_a = qmat.frobenius_distance(qmat.partial_trace(out, (d, d), "A"), rho)
-    dev_b = qmat.frobenius_distance(qmat.partial_trace(out, (d, d), "B"), rho)
-    deviation = max(dev_a, dev_b)
-    return BroadcastCheck(deviation <= qmat.tolerance(), deviation)
+    rows = ks.reshape(ks.shape[:-3] + (-1, d))  # each set's operators one under another
+    totals = _kraus_totals(qmat._require_members(rows, t, qmat._finite), t)
+    rho = qmat._require_densities(rho, t)
+    if rho.shape[-1] != d:
+        raise DimensionMismatchError(f"state dim {rho.shape[-1]} does not match channel input dim {d}")
+    qmat._require_members(totals, t, _trace_preserving)
+    out = (ks @ rho[..., None, :, :] @ dagger(ks)).sum(axis=-3)
+    dev_a = qmat._frobenius_norms(qmat.partial_trace(out, (d, d), "A") - rho)
+    dev_b = qmat._frobenius_norms(qmat.partial_trace(out, (d, d), "B") - rho)
+    return np.maximum(dev_a, dev_b)
 
 
 @dataclass(frozen=True)

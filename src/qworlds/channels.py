@@ -45,7 +45,7 @@ class KrausChannel:
         return self.kraus_ops.shape[1]
 
     def is_trace_preserving(self) -> bool:
-        return bool(_trace_preserving(self._total, qmat.tolerance()))
+        return bool(_trace_preserving(self._total, qmat.tolerance())[0])
 
 
 def _subnormalized(s: np.ndarray, t: float):
@@ -64,10 +64,11 @@ def _kraus_totals(rows: np.ndarray, t: float) -> np.ndarray:
     return qmat._require_members(dagger(rows) @ rows, t, _subnormalized)
 
 
-def _trace_preserving(totals: np.ndarray, t: float) -> np.ndarray:
-    """Whether each sum of K^dag K is the identity within τ times the input dim."""
+def _trace_preserving(totals: np.ndarray, t: float):
+    """Check that each sum of K^dag K is the identity within τ times the input dim."""
     d = totals.shape[-1]
-    return np.linalg.norm(totals - np.eye(d), axis=(-2, -1)) <= t * d
+    ok = np.linalg.norm(totals - np.eye(d), axis=(-2, -1)) <= t * d
+    return ok, lambda k: ValueError("channel is not trace preserving (selective operation)")
 
 
 def _projectivity_defect(effects: np.ndarray, t: float) -> str | None:
@@ -158,8 +159,7 @@ def apply_nonselective(channel: KrausChannel, rho) -> np.ndarray:
         raise DimensionMismatchError(
             f"state dim {rho.shape[0]} does not match channel input dim {channel.d_in}"
         )
-    if not channel.is_trace_preserving():
-        raise ValueError("channel is not trace preserving (selective operation)")
+    qmat._require_members(channel._total, qmat.tolerance(), _trace_preserving)
     ks = channel.kraus_ops
     return (ks @ rho @ dagger(ks)).sum(axis=0)
 

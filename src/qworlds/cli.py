@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, qmat
-from .algebra import CloneRefusal, broadcast_check, classical_broadcaster, clone_orthogonal_pair
+from .algebra import CloneRefusal, _broadcast_deviations, classical_broadcaster, clone_orthogonal_pair
 from .entangle import (
     SteeringExampleConfig,
     canonical_chsh_settings,
@@ -241,22 +241,21 @@ def _run_chsh(req: ScenarioRequest, world: World) -> tuple[dict, dict]:
 
 
 def _run_broadcast(req: ScenarioRequest, world: World) -> tuple[dict, dict]:
+    t = qmat.tolerance()
     rng = np.random.default_rng(req.seed)
-    basis = np.eye(2, dtype=complex)
-    channel = classical_broadcaster(basis)
+    channel = classical_broadcaster(np.eye(2, dtype=complex))
     p = float(rng.uniform(0.05, 0.95))
-    diag_pair = [np.diag([p, 1 - p]).astype(complex), np.diag([0.5, 0.5]).astype(complex)]
-    commuting = [broadcast_check(channel, rho) for rho in diag_pair]
-    plus_x = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    off_diag = broadcast_check(channel, plus_x)
+    # a diagonal pair, then |+><+|
+    states = np.array([np.diag([p, 1 - p]), np.diag([0.5, 0.5]), [[0.5, 0.5], [0.5, 0.5]]], dtype=complex)
+    *commuting, off_diag = _broadcast_deviations(channel.kraus_ops, states, t).tolist()
     refusal = clone_orthogonal_pair(
         np.array([1, 0], dtype=complex),
         np.array([1, 1], dtype=complex) / np.sqrt(2),
     )
     refused = isinstance(refusal, CloneRefusal)
     results = {
-        "commuting_deviations": [c.deviation for c in commuting],
-        "noncommuting_deviation": off_diag.deviation,
+        "commuting_deviations": commuting,
+        "noncommuting_deviation": off_diag,
         "clone_refusal": (
             {"overlap": refusal.overlap, "overlap_squared": refusal.overlap_squared}
             if refused
@@ -264,8 +263,8 @@ def _run_broadcast(req: ScenarioRequest, world: World) -> tuple[dict, dict]:
         ),
     }
     flags = {
-        "commuting_pair_broadcasts": all(c.ok for c in commuting),
-        "noncommuting_state_fails": not off_diag.ok and off_diag.deviation > _BROADCAST_GAP,
+        "commuting_pair_broadcasts": all(dev <= t for dev in commuting),
+        "noncommuting_state_fails": off_diag > t and off_diag > _BROADCAST_GAP,
         "nonorthogonal_clone_refused": refused,
     }
     return results, flags

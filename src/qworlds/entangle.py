@@ -408,7 +408,7 @@ def negativity(state: BipartiteState) -> float:
     da, db = state.dims
     pt = state.rho.reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(da * db, da * db)
     w = np.linalg.eigvalsh((pt + dagger(pt)) / 2.0)
-    return float(-w[w < 0.0].sum())
+    return float(np.abs(w[w < 0.0]).sum())  # +0.0 where no eigenvalue is negative
 
 
 def spin_observable(theta: float) -> np.ndarray:

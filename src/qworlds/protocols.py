@@ -324,7 +324,7 @@ def no_signaling_trial(state: BipartiteState, local_op: KrausChannel) -> float:
 
 
 def _nonselective(totals: np.ndarray, t: float):
-    return _trace_preserving(totals, t), lambda k: ValueError(
+    return _trace_preserving(totals, t)[0], lambda k: ValueError(
         "selective channel rejected: no-signaling holds for nonselective operations"
     )
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from qworlds import qmat
-from qworlds.channels import KrausChannel
+from qworlds.algebra import classical_broadcaster
+from qworlds.channels import KrausChannel, apply_nonselective
 from qworlds.entangle import BipartiteState
 from qworlds.protocols import no_signaling_trial
 
@@ -211,6 +212,76 @@ def signaling_battery_by_trials(world, rng: np.random.Generator) -> tuple[bool, 
             trials += 1
     witness = {"trials": trials, "max_marginal_distance": max_dist, "dims": [[2, 2], [2, 3]]}
     return max_dist > 1e-10, witness
+
+
+def broadcast_check_by_parts(channel: KrausChannel, rho: np.ndarray) -> tuple[bool, float]:
+    """One broadcast check as one channel application, two partial traces and two distances."""
+    d = channel.d_in
+    out = apply_nonselective(channel, rho)
+    dev_a = qmat.frobenius_distance(qmat.partial_trace(out, (d, d), "A"), rho)
+    dev_b = qmat.frobenius_distance(qmat.partial_trace(out, (d, d), "B"), rho)
+    deviation = max(dev_a, dev_b)
+    return deviation <= qmat.tolerance(), deviation
+
+
+def broadcasting_battery_by_checks(world, rng: np.random.Generator) -> tuple[bool, dict]:
+    """The broadcasting battery of `worlds.evaluate_constraints`, one check at a time.
+
+    Each pair builds its own broadcaster and checks its states one by one,
+    with the random draws in the battery's order.
+    """
+    d = 2
+    results_ok = []
+    commuting_max = 0.0
+    if world.kind == "classical":
+        channel = classical_broadcaster(np.eye(d, dtype=complex))
+        for _ in range(10):
+            w = rng.dirichlet(np.ones(d))
+            ok, deviation = broadcast_check_by_parts(channel, np.diag(w).astype(complex))
+            results_ok.append(ok)
+            commuting_max = max(commuting_max, deviation)
+        witness = {
+            "pairs": 10,
+            "state_family": "diagonal (all commuting)",
+            "max_deviation": commuting_max,
+        }
+        return all(results_ok), witness
+
+    noncommuting_min = np.inf
+    failures = 0
+    for _ in range(5):
+        u = rand_unitary(rng, d)
+        channel = classical_broadcaster(u.T)
+        for _ in range(2):
+            w = rng.dirichlet(np.ones(d))
+            rho = u @ np.diag(w).astype(complex) @ np.conj(u).T
+            ok, deviation = broadcast_check_by_parts(channel, rho)
+            results_ok.append(ok)
+            commuting_max = max(commuting_max, deviation)
+    tested = 0
+    while tested < 5:
+        rho = rand_density(rng, d)
+        sigma = rand_density(rng, d)
+        if qmat.frobenius_distance(rho @ sigma, sigma @ rho) <= 0.1:
+            continue
+        tested += 1
+        _, v = qmat.eigh(rho)
+        channel = classical_broadcaster(v.T)
+        ok_rho, dev_rho = broadcast_check_by_parts(channel, rho)
+        ok_sigma, dev_sigma = broadcast_check_by_parts(channel, sigma)
+        pair_ok = ok_rho and ok_sigma
+        results_ok.append(pair_ok)
+        if not pair_ok:
+            failures += 1
+            noncommuting_min = min(noncommuting_min, max(dev_rho, dev_sigma))
+    witness = {
+        "commuting_pairs": 10,
+        "commuting_max_deviation": commuting_max,
+        "noncommuting_pairs": 5,
+        "noncommuting_failures": failures,
+        "noncommuting_min_deviation": float(noncommuting_min),
+    }
+    return all(results_ok), witness
 
 
 # One member at a time: references for the code over a stack of members, which

@@ -177,10 +177,10 @@ def test_criterion_06_broadcasting_dichotomy():
 def test_criterion_07_bit_commitment():
     # honest acceptance is exactly 1 in every world (world-valid schemes)
     honest_cases = [
-        (World.quantum(), bb84_scheme()),
+        (World("quantum"), bb84_scheme()),
         (World.dephased(0.5), bb84_scheme()),
         (World.dephased(1.0), bb84_scheme()),
-        (World.classical(), classical_scheme()),
+        (World("classical"), classical_scheme()),
     ]
     for world, scheme in honest_cases:
         for bit in (0, 1):
@@ -198,7 +198,7 @@ def test_criterion_07_bit_commitment():
             Ensemble.from_pure_states(p0, v0), Ensemble.from_pure_states(p1, v1)
         )
         for bit in (0, 1):
-            t = run_commitment(scheme, EprAttack(bit), World.quantum(), rng_seed=trial)
+            t = run_commitment(scheme, EprAttack(bit), World("quantum"), rng_seed=trial)
             assert abs(t.acceptance_probability - 1.0) < 1e-9
 
     # dephased world at full strength: frozen regression margin delta = 0.5
@@ -270,8 +270,8 @@ def test_criterion_09_chsh():
 
 
 def test_criterion_10_world_coherence():
-    classical = evaluate_constraints(World.classical())
-    quantum = evaluate_constraints(World.quantum())
+    classical = evaluate_constraints(World("classical"))
+    quantum = evaluate_constraints(World("quantum"))
     dephased0 = evaluate_constraints(World.dephased(0.0))
     dephased1 = evaluate_constraints(World.dephased(1.0))
 

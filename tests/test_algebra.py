@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qworlds import qmat
+from qworlds import algebra, qmat
 from qworlds.algebra import (
     AlgebraState,
     BlockAlgebra,
@@ -252,3 +252,61 @@ def test_classical_broadcaster_matches_the_per_row_kron_bit_for_bit():
     for d in (2, 3, 4):
         basis = rand_unitary(rng, d).T
         assert np.array_equal(classical_broadcaster(basis).kraus_ops, classical_broadcaster_by_row(basis))
+
+
+def _stack_failure_matches_single(single_call, stacked_call, k):
+    with pytest.raises(ValueError) as single:
+        single_call()
+    with pytest.raises(type(single.value)) as stacked:
+        stacked_call()
+    assert str(stacked.value) == f"stack member {k}: {single.value}"
+
+
+def test_stacked_broadcast_checks_name_the_bad_member_with_the_single_matrix_message():
+    rng = np.random.default_rng(59)
+    t = qmat.tolerance()
+    channel = classical_broadcaster(np.eye(2, dtype=complex))
+    states = np.stack([rand_density(rng, 2) for _ in range(5)])
+    states[3] = np.diag([1.5, -0.5])
+    _stack_failure_matches_single(
+        lambda: broadcast_check(channel, states[3]),
+        lambda: algebra._broadcast_deviations(channel.kraus_ops, states, t),
+        3,
+    )
+    # the bases are checked as one stack before their Kraus sets are built
+    bases = np.stack([rand_unitary(rng, 2).T for _ in range(5)])
+    bases[2] = [[1, 0], [1, 0]]
+    _stack_failure_matches_single(
+        lambda: classical_broadcaster(bases[2]),
+        lambda: algebra._broadcaster_kraus(qmat.require_orthonormal_rows(bases)),
+        2,
+    )
+    good = np.stack([rand_density(rng, 2) for _ in range(5)])
+    kraus = algebra._broadcaster_kraus(np.stack([rand_unitary(rng, 2).T for _ in range(5)]))
+    for k, scale, single in (
+        (1, 1.1, lambda ks: KrausChannel(ks)),
+        (4, 0.9, lambda ks: broadcast_check(KrausChannel(ks), good[k])),
+    ):
+        off = kraus.copy()
+        off[k] *= scale  # super-normalized above 1, not trace preserving below
+        _stack_failure_matches_single(
+            lambda: single(off[k]), lambda: algebra._broadcast_deviations(off, good, t), k
+        )
+
+
+def test_broadcast_check_keeps_its_one_matrix_contract():
+    channel = classical_broadcaster(np.eye(2, dtype=complex))
+    with pytest.raises(ValueError, match="expected a nonempty 2-D matrix"):
+        broadcast_check(channel, np.stack([np.eye(2, dtype=complex) / 2] * 3))
+
+
+def test_stacked_broadcast_deviations_equal_the_per_state_checks_bit_for_bit():
+    rng = np.random.default_rng(67)
+    for d in (2, 3, 4):
+        bases = np.stack([rand_unitary(rng, d).T for _ in range(6)])
+        states = np.stack([[rand_density(rng, d) for _ in range(3)] for _ in range(6)])
+        dev = algebra._broadcast_deviations(algebra._broadcaster_kraus(bases)[:, None], states, qmat.tolerance())
+        assert dev.shape == (6, 3)
+        expected = [[broadcast_check(classical_broadcaster(b), rho).deviation for rho in row]
+                    for b, row in zip(bases, states)]
+        assert dev.tolist() == expected

@@ -79,10 +79,10 @@ def test_bb84_scheme_conceals():
 
 def test_honest_acceptance_is_one_in_every_world():
     worlds = [
-        (World.quantum(), bb84_scheme()),
+        (World("quantum"), bb84_scheme()),
         (World.dephased(0.5), bb84_scheme()),
         (World.dephased(1.0), bb84_scheme()),
-        (World.classical(), classical_scheme()),
+        (World("classical"), classical_scheme()),
     ]
     for world, scheme in worlds:
         for bit in (0, 1):
@@ -99,20 +99,20 @@ def test_run_commitment_rejects_nonconcealing_scheme():
         Ensemble.from_pure_states([1.0], [[0, 1]]),
     )
     with pytest.raises(ValueError):
-        run_commitment(biased, Honest(0), World.quantum(), rng_seed=1)
+        run_commitment(biased, Honest(0), World("quantum"), rng_seed=1)
 
 
 def test_transcript_is_seed_deterministic():
     scheme = bb84_scheme()
-    t1 = run_commitment(scheme, Honest(1), World.quantum(), rng_seed=42)
-    t2 = run_commitment(scheme, Honest(1), World.quantum(), rng_seed=42)
+    t1 = run_commitment(scheme, Honest(1), World("quantum"), rng_seed=42)
+    t2 = run_commitment(scheme, Honest(1), World("quantum"), rng_seed=42)
     assert t1.to_dict() == t2.to_dict()
 
 
 def test_epr_attack_is_undetectable_in_quantum_world():
     scheme = bb84_scheme()
     for bit in (0, 1):
-        transcript = run_commitment(scheme, EprAttack(bit), World.quantum(), rng_seed=9)
+        transcript = run_commitment(scheme, EprAttack(bit), World("quantum"), rng_seed=9)
         assert transcript.acceptance_probability == pytest.approx(1.0, abs=1e-12)
         assert transcript.accept is True
 
@@ -126,7 +126,7 @@ def test_epr_attack_on_random_qutrit_scheme():
         Ensemble.from_pure_states(p0, v0), Ensemble.from_pure_states(p1, v1)
     )
     for bit in (0, 1):
-        transcript = run_commitment(scheme, EprAttack(bit), World.quantum(), rng_seed=11)
+        transcript = run_commitment(scheme, EprAttack(bit), World("quantum"), rng_seed=11)
         assert transcript.acceptance_probability == pytest.approx(1.0, abs=1e-9)
 
 
@@ -163,14 +163,14 @@ def test_attack_acceptance_interpolates_with_strength():
 
 def test_concealment_check_examples():
     scheme = bb84_scheme()
-    assert concealment_check(scheme, World.quantum()) == ConcealmentCheck(True, pytest.approx(0.0, abs=1e-12))
+    assert concealment_check(scheme, World("quantum")) == ConcealmentCheck(True, pytest.approx(0.0, abs=1e-12))
     check = concealment_check(scheme, World.dephased(1.0))
     assert check.concealed and check.distance < 1e-12
     biased = CommitmentScheme(
         Ensemble.from_pure_states([0.5, 0.5], [[1, 0], [0, 1]]),
         Ensemble.from_pure_states([0.8, 0.2], [[1, 0], [0, 1]]),
     )
-    check = concealment_check(biased, World.quantum())
+    check = concealment_check(biased, World("quantum"))
     gap = qmat.frobenius_distance(biased.ensemble_0.average(), biased.ensemble_1.average())
     assert not check.concealed
     assert check.distance == pytest.approx(gap, abs=1e-12)
@@ -230,7 +230,7 @@ def _separated_random_pairs(rng):
     """Random pairs at dims (2,2), (2,3), (3,2) and (4,4), each as the three worlds leave it."""
     for dims in ((2, 2), (2, 3), (3, 2), (4, 4)):
         rho = rand_density(rng, dims[0] * dims[1])
-        for world in (World.quantum(), World.dephased(0.3), World.classical()):
+        for world in (World("quantum"), World.dephased(0.3), World("classical")):
             yield world.separate(BipartiteState(rho, dims))
 
 
@@ -299,7 +299,7 @@ def test_selective_steering_contrast_bell_route():
 
 def test_transcripts_are_complete_frozen_records():
     scheme = bb84_scheme()
-    for world in (World.quantum(), World.dephased(0.5), World.classical()):
+    for world in (World("quantum"), World.dephased(0.5), World("classical")):
         for strategy in (Honest(0), Honest(1), EprAttack(0), EprAttack(1)):
             t = run_commitment(scheme, strategy, world, rng_seed=4)
             assert t.phases() == ("commit", "hold", "open", "verify")
@@ -316,7 +316,7 @@ def test_transcripts_are_complete_frozen_records():
         )
 
 
-@pytest.mark.parametrize("world", (World.quantum(), World.dephased(0.5)), ids=("quantum", "dephased-0.5"))
+@pytest.mark.parametrize("world", (World("quantum"), World.dephased(0.5)), ids=("quantum", "dephased-0.5"))
 @pytest.mark.parametrize("strategy", (EprAttack, Honest))
 @pytest.mark.parametrize("bit", (-1, 2))
 def test_out_of_range_bits_raise(world, strategy, bit):
@@ -336,13 +336,13 @@ def test_attack_builds_both_bits_measurements_before_either_runs():
         assert scheme.is_concealing()
         for bit in (0, 1):
             with pytest.raises(AverageMismatchError, match="target ensemble average deviates"):
-                run_commitment(scheme, EprAttack(bit), World.quantum(), rng_seed=3)
+                run_commitment(scheme, EprAttack(bit), World("quantum"), rng_seed=3)
     finally:
         qmat.set_tolerance(caller_tol)
 
 
 MEMO_WORLDS = (
-    World.quantum(), World.dephased(0.0), World.dephased(0.3), World.dephased(1.0), World.classical()
+    World("quantum"), World.dephased(0.0), World.dephased(0.3), World.dephased(1.0), World("classical")
 )
 
 
@@ -402,12 +402,12 @@ def test_commitment_scheme_is_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         scheme.ensemble_0 = scheme.ensemble_1
     # an edited ensemble would leave the memoized HJW measurement stale
-    assert run_commitment(scheme, EprAttack(1), World.quantum(), 3).acceptance_probability == pytest.approx(1.0)
+    assert run_commitment(scheme, EprAttack(1), World("quantum"), 3).acceptance_probability == pytest.approx(1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         scheme.ensemble_1.members = scheme.ensemble_0.members
     with pytest.raises(ValueError):
         scheme.ensemble_1.members[0][...] = scheme.ensemble_0.members[0]
-    assert run_commitment(scheme, EprAttack(1), World.quantum(), 3).acceptance_probability == pytest.approx(1.0)
+    assert run_commitment(scheme, EprAttack(1), World("quantum"), 3).acceptance_probability == pytest.approx(1.0)
 
 
 def test_epr_pair_and_steering_measurements_are_immutable():
@@ -431,7 +431,7 @@ def test_epr_pair_and_steering_measurements_are_immutable():
     with pytest.raises(dataclasses.FrozenInstanceError):
         measurement.effects = measurement.effects[::-1]
     for bit in (0, 1):
-        assert run_commitment(scheme, EprAttack(bit), World.quantum(), 3).acceptance_probability == pytest.approx(1.0)
+        assert run_commitment(scheme, EprAttack(bit), World("quantum"), 3).acceptance_probability == pytest.approx(1.0)
     rho, effect = qmat.projector([1, 0, 0, 0]), qmat.projector([1, 0])
     state = BipartiteState(rho, (2, 2))
     povm = GeneralizedMeasurement((effect, np.eye(2, dtype=complex) - effect))
@@ -483,7 +483,7 @@ def test_reference_schemes_are_built_once_per_tolerance(monkeypatch):
 
 def test_commitment_round_names_the_schemes_it_ran():
     bb84, classical = protocols._reference_schemes(qmat.tolerance())
-    cases = ((World.quantum(), "bb84", bb84), (World.classical(), "classical", classical))
+    cases = ((World("quantum"), "bb84", bb84), (World("classical"), "classical", classical))
     for world, honest_name, honest_scheme in cases:
         commit = protocols.commitment_round(world, np.random.default_rng(0))
         assert (commit.honest_scheme_name, commit.attack_scheme_name) == (honest_name, "bb84")

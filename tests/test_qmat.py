@@ -477,3 +477,13 @@ def test_large_norm_effect_with_an_eigenvalue_below_minus_tau_is_rejected(certif
     with pytest.raises(ValueError) as failure:
         channels.GeneralizedMeasurement([h])
     assert str(failure.value) == f"stack member 0: effect has negative eigenvalue {float(lowest)}"
+
+
+def test_stacked_frobenius_norms_equal_frobenius_distance_bit_for_bit():
+    rng = np.random.default_rng(61)
+    for d in (2, 3, 4, 8):
+        scale = 10.0 ** rng.uniform(-17, 0, size=(600, 1, 1))
+        a = (rng.normal(size=(600, d, d)) + 1j * rng.normal(size=(600, d, d))) * scale
+        norms = qmat._frobenius_norms(a.reshape(60, 10, d, d))
+        assert norms.shape == (60, 10)
+        assert norms.reshape(-1).tolist() == [qmat.frobenius_distance(m) for m in a]

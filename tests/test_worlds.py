@@ -1,11 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from qworlds import qmat
 from qworlds.entangle import BipartiteState, epr_singlet, negativity, purify, singlet_vector
-from qworlds.worlds import World, _signaling_battery, evaluate_constraints
+from qworlds.worlds import World, _broadcasting_battery, _signaling_battery, evaluate_constraints
 
-from tests.oracles import dephase_by_loops, rand_density, signaling_battery_by_trials
+from tests.oracles import (
+    broadcasting_battery_by_checks,
+    dephase_by_loops,
+    rand_density,
+    signaling_battery_by_trials,
+)
 
 SQRT_HALF = 1 / np.sqrt(2)
 
@@ -21,7 +28,7 @@ def test_world_validation():
 
 def test_quantum_separation_is_identity():
     singlet = epr_singlet()
-    assert World.quantum().separate(singlet) is singlet
+    assert World("quantum").separate(singlet) is singlet
     assert World.dephased(0.0).separate(singlet) is singlet
 
 
@@ -63,15 +70,15 @@ def test_separation_matches_loop_dephasing_oracle():
 
 def test_classical_separation_forces_computational_diagonal():
     state = epr_singlet()
-    separated = World.classical().separate(state)
+    separated = World("classical").separate(state)
     assert np.allclose(separated.rho, np.diag(np.diag(state.rho)), atol=0)
 
 
 def test_transmit_policies():
     plus_x = qmat.projector([SQRT_HALF, SQRT_HALF])
-    assert np.array_equal(World.quantum().transmit(plus_x), plus_x)
+    assert np.array_equal(World("quantum").transmit(plus_x), plus_x)
     assert np.array_equal(World.dephased(1.0).transmit(plus_x), plus_x)
-    assert np.allclose(World.classical().transmit(plus_x), np.eye(2) / 2, atol=1e-12)
+    assert np.allclose(World("classical").transmit(plus_x), np.eye(2) / 2, atol=1e-12)
 
 
 def test_negativity_monotone_in_separation_strength():
@@ -96,8 +103,8 @@ def test_purification_separation_in_degenerate_case_uses_deterministic_basis():
 
 
 def test_constraint_reports_match_world_expectations():
-    classical = evaluate_constraints(World.classical())
-    quantum = evaluate_constraints(World.quantum())
+    classical = evaluate_constraints(World("classical"))
+    quantum = evaluate_constraints(World("quantum"))
     dephased0 = evaluate_constraints(World.dephased(0.0))
     dephased1 = evaluate_constraints(World.dephased(1.0))
 
@@ -118,7 +125,7 @@ def test_constraint_reports_match_world_expectations():
 
 
 def test_constraint_report_serializes():
-    report = evaluate_constraints(World.quantum())
+    report = evaluate_constraints(World("quantum"))
     d = report.to_dict()
     assert set(d) == {"signaling", "broadcasting", "steering_attack"}
     assert d["signaling"]["possible"] is False
@@ -133,7 +140,7 @@ def test_battery_is_seed_deterministic():
 
 @pytest.mark.parametrize(
     "world",
-    [World.quantum(), World.dephased(0.0), World.dephased(0.37), World.dephased(1.0), World.classical()],
+    [World("quantum"), World.dephased(0.0), World.dephased(0.37), World.dephased(1.0), World("classical")],
     ids=["quantum", "dephased-0", "dephased-0.37", "dephased-1", "classical"],
 )
 def test_stacked_signaling_battery_matches_the_per_trial_loop(world):
@@ -148,3 +155,24 @@ def test_stacked_signaling_battery_matches_the_per_trial_loop(world):
         assert gap <= 1e-14
         # the later batteries draw from the same generator state
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "world",
+    [World("quantum"), World.dephased(0.0), World.dephased(0.37), World.dephased(1.0), World("classical")],
+    ids=["quantum", "dephased-0", "dephased-0.37", "dephased-1", "classical"],
+)
+def test_stacked_broadcasting_battery_matches_the_per_check_loop_bit_for_bit(world):
+    for seed in range(50):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert repr(_broadcasting_battery(world, rng)) == repr(broadcasting_battery_by_checks(world, ref_rng))
+        # the commitment battery draws next, from the same generator state
+        assert rng.random() == ref_rng.random()
+
+
+def test_negativity_is_positive_zero_where_no_eigenvalue_is_negative():
+    product = BipartiteState(np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2).astype(complex), (2, 2))
+    maximally_mixed = BipartiteState(np.eye(4, dtype=complex) / 4, (2, 2))
+    dephased_singlet = World.dephased(1.0).separate(epr_singlet())
+    for state in (product, maximally_mixed, dephased_singlet):
+        assert math.copysign(1.0, negativity(state)) == 1.0
