@@ -108,10 +108,6 @@ class GeneralizedMeasurement:
     def dim(self) -> int:
         return self.effects.shape[1]
 
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.effects)
-
 
 class ProjectiveMeasurement(GeneralizedMeasurement):
     """Complete set of mutually orthogonal projectors: a POVM with idempotent effects."""

@@ -24,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +43,7 @@ from .entangle import (
     teleport,
 )
 from .protocols import _BROADCAST_GAP, _FLAG_EDGE, REPORT_EDGE, commitment_round, concealment_check
-from .worlds import World, evaluate_constraints
-
-SCENARIOS = ("steer", "teleport", "bitcommit", "constraints", "chsh", "broadcast")
+from .worlds import _WORLD_KINDS, World, evaluate_constraints
 
 TOL_ENV_VAR = "QWORLDS_TOL"
 
@@ -75,7 +74,6 @@ class ScenarioRequest:
     trials: int = 100
     seed: int = 0
     tol: float = qmat.DEFAULT_TOL
-    out_path: str | None = None
 
 
 @dataclass
@@ -87,18 +85,8 @@ class ScenarioReport:
     flags: dict
     version: str = __version__
 
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "params": self.params,
-            "seed": self.seed,
-            "results": self.results,
-            "flags": self.flags,
-            "version": self.version,
-        }
-
     def render(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(vars(self), sort_keys=True, indent=2) + "\n"
 
     def all_flags_pass(self) -> bool:
         return all(bool(v) for v in self.flags.values())
@@ -110,18 +98,12 @@ def _validate(req: ScenarioRequest) -> World:
     Runs with τ already set to `req.tol`, so tolerance-dependent checks
     (the steering amplitudes) judge the input at the requested tolerance.
     """
-    if req.scenario not in _RUNNERS:
+    if req.scenario not in _SCENARIOS:
         raise InvalidParameterError(f"unknown scenario {req.scenario!r}")
     if req.seed < 0:
         raise InvalidParameterError(f"seed must be nonnegative, got {req.seed}")
-    if req.scenario == "steer":
-        try:
-            SteeringExampleConfig(req.alpha, req.beta)
-        except ValueError as exc:
-            raise InvalidParameterError(str(exc)) from exc
-    if req.scenario == "teleport" and req.trials < 1:
-        raise InvalidParameterError(f"trials must be positive, got {req.trials}")
     try:
+        _SCENARIOS[req.scenario].check(req)
         return World(req.world_kind, req.strength if req.world_kind == "dephased" else 0.0)
     except ValueError as exc:
         raise InvalidParameterError(str(exc)) from exc
@@ -207,10 +189,7 @@ def _run_bitcommit(req: ScenarioRequest, world: World) -> tuple[dict, dict]:
 
 def _run_constraints(req: ScenarioRequest, world: World) -> tuple[dict, dict]:
     report = evaluate_constraints(world, rng_seed=req.seed)
-    if world.kind == "classical":
-        expected = (False, True, False)
-    else:
-        expected = (False, False, _attack_expected(world))
+    expected = (False, world.kind == "classical", _attack_expected(world))
     flags = {
         "signaling_matches_expectation": report.signaling_possible == expected[0],
         "broadcasting_matches_expectation": report.broadcasting_possible == expected[1],
@@ -270,14 +249,29 @@ def _run_broadcast(req: ScenarioRequest, world: World) -> tuple[dict, dict]:
     return results, flags
 
 
-_RUNNERS = {
-    "steer": _run_steer,
-    "teleport": _run_teleport,
-    "bitcommit": _run_bitcommit,
-    "constraints": _run_constraints,
-    "chsh": _run_chsh,
-    "broadcast": _run_broadcast,
+def _check_trials(req: ScenarioRequest) -> None:
+    if req.trials < 1:
+        raise ValueError(f"trials must be positive, got {req.trials}")
+
+
+@dataclass(frozen=True)
+class _Scenario:
+    """A scenario's runner, the request fields it reads beyond the shared ones, and their check."""
+
+    run: Callable[[ScenarioRequest, World], tuple[dict, dict]]
+    fields: tuple[str, ...] = ()
+    check: Callable[[ScenarioRequest], object] = lambda req: None
+
+
+_SCENARIOS = {
+    "steer": _Scenario(_run_steer, ("alpha", "beta"), lambda req: SteeringExampleConfig(req.alpha, req.beta)),
+    "teleport": _Scenario(_run_teleport, ("trials",), _check_trials),
+    "bitcommit": _Scenario(_run_bitcommit),
+    "constraints": _Scenario(_run_constraints),
+    "chsh": _Scenario(_run_chsh),
+    "broadcast": _Scenario(_run_broadcast),
 }
+SCENARIOS = tuple(_SCENARIOS)
 
 
 def run_scenario(req: ScenarioRequest) -> ScenarioReport:
@@ -295,20 +289,15 @@ def run_scenario(req: ScenarioRequest) -> ScenarioReport:
     try:
         world = _validate(req)
         try:
-            results, flags = _RUNNERS[req.scenario](req, world)
+            results, flags = _SCENARIOS[req.scenario].run(req, world)
         except ValueError as exc:
             raise NumericalBreakdownError(f"at tolerance {req.tol}: {exc}") from exc
     finally:
         qmat.set_tolerance(caller_tol)
-    params = {
-        "world": req.world_kind,
-        "lambda": req.strength if req.world_kind == "dephased" else None,
-        "alpha": req.alpha if req.scenario == "steer" else None,
-        "beta": req.beta if req.scenario == "steer" else None,
-        "trials": req.trials if req.scenario == "teleport" else None,
-        "tol": req.tol,
-    }
-    params = {k: v for k, v in params.items() if v is not None}
+    params = {"world": req.world_kind, "tol": req.tol}
+    params.update((field, getattr(req, field)) for field in _SCENARIOS[req.scenario].fields)
+    if req.world_kind == "dephased":
+        params["lambda"] = req.strength
     return ScenarioReport(
         scenario=req.scenario,
         params=params,
@@ -334,9 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run steering/teleportation/bit-commitment scenarios and constraint batteries.",
     )
     sub = parser.add_subparsers(dest="scenario", required=True, metavar="|".join(SCENARIOS))
-    for name in SCENARIOS:
+    for name, scenario in _SCENARIOS.items():
         p = sub.add_parser(name)
-        p.add_argument("--world", default="quantum", choices=("classical", "quantum", "dephased"))
+        p.add_argument("--world", default="quantum", choices=_WORLD_KINDS)
         p.add_argument("--lambda", dest="strength", type=float, default=1.0,
                        help="dephasing strength in [0,1]; used when --world dephased")
         p.add_argument("--seed", type=int, default=0)
@@ -344,11 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"numeric tolerance (default {TOL_ENV_VAR} or {qmat.DEFAULT_TOL})")
         p.add_argument("--out", default=None, help="write the JSON report to this path")
         # absent flags keep the ScenarioRequest defaults
-        if name == "steer":
-            p.add_argument("--alpha", type=float, default=argparse.SUPPRESS)
-            p.add_argument("--beta", type=float, default=argparse.SUPPRESS)
-        if name == "teleport":
-            p.add_argument("--trials", type=int, default=argparse.SUPPRESS)
+        for field in scenario.fields:
+            p.add_argument(f"--{field}", type=type(getattr(ScenarioRequest, field)), default=argparse.SUPPRESS)
     return parser
 
 
@@ -362,8 +348,7 @@ def main(argv: list[str] | None = None) -> int:
             strength=args.strength,
             seed=args.seed,
             tol=args.tol if args.tol is not None else _default_tol(),
-            out_path=args.out,
-            **{k: getattr(args, k) for k in ("alpha", "beta", "trials") if hasattr(args, k)},
+            **{k: v for k, v in vars(args).items() if k in _SCENARIOS[args.scenario].fields},
         )
         report = run_scenario(req)
     except NumericalBreakdownError as exc:
@@ -373,11 +358,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"qworlds: invalid parameter: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
     text = report.render()
-    if req.out_path is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
         try:
-            with open(req.out_path, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             print(f"qworlds: cannot write report: {exc}", file=sys.stderr)

@@ -45,14 +45,8 @@ class BipartiteState:
         object.__setattr__(self, "rho", qmat._readonly(rho.copy()))
         object.__setattr__(self, "dims", (da, db))
 
-    def marginal_a(self) -> np.ndarray:
-        return qmat.partial_trace(self.rho, self.dims, "A")
-
     def marginal_b(self) -> np.ndarray:
         return qmat.partial_trace(self.rho, self.dims, "B")
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.rho @ self.rho)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,10 +78,6 @@ class SchmidtDecomposition:
         object.__setattr__(self, "coefficients", qmat._readonly(c))
         object.__setattr__(self, "a_basis", qmat._readonly(a_basis.copy()))
         object.__setattr__(self, "b_basis", qmat._readonly(b_basis.copy()))
-
-    @property
-    def rank(self) -> int:
-        return self.coefficients.size
 
     def vector(self) -> np.ndarray:
         """Reassemble the decomposed vector."""

@@ -49,7 +49,7 @@ def naimark_dilation(povm):
     """The isometry sum_i |i> x sqrt(E_i), ancilla index major, and the ancilla's readout."""
     w, v = qmat.eigh(povm.effects)
     roots = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ qmat.dagger(v)
-    n, d = povm.n_outcomes, povm.dim
+    n, d = len(povm.effects), povm.dim
     embed = KrausChannel((roots.reshape(n * d, d),))
     readout = ProjectiveMeasurement(tuple(qmat.projector(row) for row in np.eye(n)))
     return embed, readout
@@ -373,8 +373,8 @@ def test_measurement_effects_are_one_checked_read_only_stack():
         GeneralizedMeasurement((effects[2], np.eye(3)))
     z0 = qmat.projector([1, 0])
     z1 = qmat.projector([0, 1])
-    for m in (GeneralizedMeasurement((0.5 * z0, 0.5 * z0, z1)), ProjectiveMeasurement((z0, z1))):
-        assert m.effects.shape == (m.n_outcomes, 2, 2)
+    for m, n in ((GeneralizedMeasurement((0.5 * z0, 0.5 * z0, z1)), 3), (ProjectiveMeasurement((z0, z1)), 2)):
+        assert m.effects.shape == (n, 2, 2)
         with pytest.raises(ValueError, match="read-only"):
             m.effects[0, 0, 0] = 0.0
     assert m.projectors is m.effects

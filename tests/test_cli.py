@@ -1,9 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qworlds import qmat
+from qworlds import cli, qmat
 from qworlds.cli import (
     EXIT_BAD_PARAMS,
     EXIT_FLAGS_FAILED,
@@ -111,7 +113,7 @@ def test_tolerance_threading(monkeypatch, capsys):
 
 
 def test_every_scenario_passes_in_quantum_world():
-    for scenario in ("steer", "teleport", "bitcommit", "constraints", "chsh", "broadcast"):
+    for scenario in cli.SCENARIOS:
         report = run_scenario(ScenarioRequest(scenario=scenario, seed=4, trials=60))
         assert report.all_flags_pass(), (scenario, report.flags)
         report.render()  # must be JSON-serializable
@@ -198,3 +200,38 @@ def test_expectations_follow_the_closed_forms_in_lambda(capsys):
         assert abs(docs["bitcommit"]["min_attack_acceptance"] - expected) <= 1e-12, lam
         assert abs(docs["constraints"]["steering_attack"]["min_acceptance"] - expected) <= 1e-12, lam
         assert abs(docs["chsh"]["abs_score"] - tsirelson * expected) <= 1e-12, lam
+
+
+# the options each scenario reads beyond --world, --lambda, --seed, --tol and --out
+_SCENARIO_OPTIONS = {"steer": ("alpha", "beta"), "teleport": ("trials",)}
+
+
+@pytest.mark.parametrize("world, strength", [("quantum", 1.0), ("classical", 1.0), ("dephased", 0.5)])
+@pytest.mark.parametrize("scenario", cli.SCENARIOS)
+def test_params_name_exactly_the_options_the_scenario_reads(scenario, world, strength, capsys):
+    report = run_scenario(ScenarioRequest(scenario=scenario, world_kind=world, strength=strength))
+    expected = {"world", "tol", *_SCENARIO_OPTIONS.get(scenario, ())}
+    if world == "dephased":
+        expected.add("lambda")
+    assert set(report.params) == expected
+    assert report.params["world"] == world
+    if world == "dephased":
+        assert report.params["lambda"] == strength
+
+    # another scenario's option is a usage error, not a silently ignored flag
+    others = {f for fields in _SCENARIO_OPTIONS.values() for f in fields} - set(_SCENARIO_OPTIONS.get(scenario, ()))
+    for field in sorted(others):
+        with pytest.raises(SystemExit) as exc:
+            main([scenario, "--world", world, "--lambda", str(strength), f"--{field}", "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --{field}" in capsys.readouterr().err
+
+
+def test_readme_scenario_list_matches_the_cli():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("Scenarios and their `results` keys:\n\n", 1)[1].split("\n\n", 1)[0]
+    usages = [usage.split() for usage in re.findall(r"^- `([^`]*)`", block, flags=re.M)]
+    assert [usage[0] for usage in usages] == list(cli.SCENARIOS)
+    for name, *options in usages:
+        for field in cli._SCENARIOS[name].fields:
+            assert f"--{field}" in options, (name, field)
