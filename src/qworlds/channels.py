@@ -172,9 +172,11 @@ def dephase(channel: DephasingChannel, rho) -> np.ndarray:
     return _dephase(channel.basis, rho, channel.strength)
 
 
-def _dephase(basis: np.ndarray, rho: np.ndarray, strength: float) -> np.ndarray:
-    """`dephase` over the last two axes, unchecked: each rho in the basis rows of its member of `basis`."""
-    in_basis = np.conj(basis) @ rho @ basis.swapaxes(-1, -2)
-    damp = np.full(in_basis.shape[-2:], 1.0 - strength)
+def _dephase(basis: np.ndarray | None, rho: np.ndarray, strength: float) -> np.ndarray:
+    """`dephase` over the last two axes, unchecked, in the rows of each `basis` member; None: computational."""
+    damp = np.full(rho.shape[-2:], 1.0 - strength)
     np.fill_diagonal(damp, 1.0)
+    if basis is None:
+        return rho * damp
+    in_basis = np.conj(basis) @ rho @ basis.swapaxes(-1, -2)
     return basis.swapaxes(-1, -2) @ (in_basis * damp) @ np.conj(basis)

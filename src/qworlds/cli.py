@@ -3,7 +3,7 @@
 Usage:
     qworlds <scenario> [options]
 
-Scenarios: steer, teleport, bitcommit, constraints, chsh, broadcast.
+Scenarios: the entries of `SCENARIOS`, which `qworlds --help` lists.
 Every run emits one self-describing JSON document (keys: scenario, params,
 seed, results, flags, version) to stdout or to --out. Identical requests,
 including the seed, produce byte-identical documents; no timestamps are
@@ -110,8 +110,8 @@ def _validate(req: ScenarioRequest) -> World:
 
 
 def _attack_expected(world: World) -> bool:
-    """Whether the EPR attack should succeed: its acceptance is 1 - lambda/2 (lambda 0 if quantum)."""
-    return world.kind != "classical" and 1.0 - world.strength / 2.0 >= 1.0 - REPORT_EDGE
+    """Whether the EPR attack should succeed: its acceptance is 1 - lambda/2 at the world's lambda."""
+    return 1.0 - world._lambda / 2.0 >= 1.0 - REPORT_EDGE
 
 
 def _run_steer(req: ScenarioRequest, world: World) -> tuple[dict, dict]:
@@ -208,10 +208,8 @@ def _run_chsh(req: ScenarioRequest, world: World) -> tuple[dict, dict]:
         "abs_score": abs(score),
         "tsirelson_bound": _MAX_SCORE,
     }
-    if world.kind == "classical":
-        expectation_met = abs(score) <= 2.0 + _FLAG_EDGE
-    else:  # the singlet's |CHSH| at the canonical settings is 2*sqrt(2)*(1 - lambda/2)
-        expectation_met = abs(abs(score) - _MAX_SCORE * (1.0 - world.strength / 2.0)) <= _FLAG_EDGE
+    # the singlet's |CHSH| at the canonical settings is 2*sqrt(2)*(1 - lambda/2): sqrt(2) if classical
+    expectation_met = abs(abs(score) - _MAX_SCORE * (1.0 - world._lambda / 2.0)) <= _FLAG_EDGE
     flags = {
         "bound_respected": bool(abs(score) <= _MAX_SCORE + _FLAG_EDGE),
         "score_matches_world_expectation": bool(expectation_met),

@@ -1,10 +1,10 @@
 """Physics backends and the three-constraint scenario battery.
 
-A World decides what separation does to a shared pair: nothing (quantum),
-basis dephasing of a given strength in the product of the pair's marginal
-eigenbases (dephased; see `World.separation_basis`), or forced diagonality in
-the fixed computational product basis (classical). `evaluate_constraints` runs
-a fixed seeded battery of signaling, broadcasting, and bit-commitment
+The three worlds are one dephasing family. Separation damps a shared pair's
+off-diagonals by a strength λ: 0 (quantum), λ in the product of the marginal
+eigenbases (dephased; see `World.separation_basis`), or 1 in the computational
+product basis, where lone states dephase too (classical). `evaluate_constraints`
+runs a fixed seeded battery of signaling, broadcasting, and bit-commitment
 scenarios in a world and reports which of the three constraints hold there,
 each with its concrete witness.
 """
@@ -46,6 +46,11 @@ class World:
     def dephased(cls, strength: float) -> "World":
         return cls("dephased", strength)
 
+    @property
+    def _lambda(self) -> float:
+        """The effective separation strength: 0 quantum, `strength` dephased, 1 classical."""
+        return 1.0 if self.kind == "classical" else self.strength
+
     def separation_basis(self, state: BipartiteState) -> np.ndarray:
         """Product basis rows (A eigenbasis x B eigenbasis) used for dephasing.
 
@@ -62,9 +67,9 @@ class World:
     def separate(self, state: BipartiteState) -> BipartiteState:
         """Transform a shared pair as the world's separation process dictates.
 
-        Quantum: unchanged. Dephased: off-diagonals in the separation basis are
-        damped by (1 - strength); both marginals survive exactly. Classical:
-        full dephasing in the computational product basis.
+        Off-diagonals are damped by (1 - λ), λ the world's effective strength:
+        none in the quantum world, in the separation basis with both marginals
+        kept exactly (dephased), and λ = 1 in the computational basis (classical).
         """
         rho = self._separated(state.rho, state.dims)
         return state if rho is state.rho else BipartiteState(rho, state.dims)
@@ -72,28 +77,24 @@ class World:
     def _separated(self, rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
         """The separation rule on validated density operators, over the last two axes.
 
-        Returns `rho` itself where the world leaves it unchanged; a new output
-        is not yet checked as a density operator.
+        One `_dephase` at the effective strength, in the computational basis (classical) or the
+        checked separation basis. Returns `rho` itself at λ = 0; a new output is not yet checked.
         """
-        if self.kind == "classical":
-            return _diagonal_part(rho)
-        if self.strength == 0.0:
+        if self._lambda == 0.0:
             return rho
-        basis = qmat.require_orthonormal_rows(_separation_basis(rho, dims))
-        return _dephase(basis, rho, self.strength)
+        basis = None if self.kind == "classical" else qmat.require_orthonormal_rows(_separation_basis(rho, dims))
+        return _dephase(basis, rho, self._lambda)
 
     def transmit(self, rho: np.ndarray) -> np.ndarray:
         """Transform a lone state handed from one party to the other.
 
         Separation dephasing erases phase relations *between* subsystems; a
         lone state has none (dephasing in its own eigenbasis fixes it), so the
-        quantum and dephased worlds pass it through. The classical world forces
-        diagonality in the computational basis.
+        quantum and dephased worlds pass it through. The classical world
+        dephases it as it does pairs: λ = 1 in the computational basis.
         """
         rho = qmat.require_density(rho)
-        if self.kind == "classical":
-            return _diagonal_part(rho)
-        return rho
+        return _dephase(None, rho, self._lambda) if self.kind == "classical" else rho
 
 
 def _separation_basis(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
@@ -101,15 +102,6 @@ def _separation_basis(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     _, va = qmat.eigh(qmat.partial_trace(rho, dims, "A"))
     _, vb = qmat.eigh(qmat.partial_trace(rho, dims, "B"))
     return qmat.kron_pairs(va.swapaxes(-1, -2), vb.swapaxes(-1, -2))
-
-
-def _diagonal_part(rho: np.ndarray) -> np.ndarray:
-    """Each operator's diagonal, with the off-diagonal entries set to zero, over the last two axes."""
-    d = rho.shape[-1]
-    out = np.zeros(rho.shape, dtype=rho.dtype)
-    # every (d + 1)-th entry of a flattened d x d matrix is on its diagonal
-    out.reshape(rho.shape[:-2] + (-1,))[..., :: d + 1] = rho.reshape(rho.shape[:-2] + (-1,))[..., :: d + 1]
-    return out
 
 
 @dataclass(frozen=True)

@@ -138,6 +138,15 @@ def dephase_by_loops(rho: np.ndarray, basis_rows: np.ndarray, lam: float) -> np.
     return out
 
 
+def diagonal_part(rho: np.ndarray) -> np.ndarray:
+    """Each operator's diagonal, with the off-diagonal entries set to zero, over the last two axes."""
+    d = rho.shape[-1]
+    out = np.zeros(rho.shape, dtype=rho.dtype)
+    # every (d + 1)-th entry of a flattened d x d matrix is on its diagonal
+    out.reshape(rho.shape[:-2] + (-1,))[..., :: d + 1] = rho.reshape(rho.shape[:-2] + (-1,))[..., :: d + 1]
+    return out
+
+
 def attack_acceptance_by_enumeration(
     effects: list[np.ndarray], targets: list[np.ndarray], rho_joint: np.ndarray
 ) -> float:

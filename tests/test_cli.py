@@ -183,23 +183,26 @@ def test_nonfinite_steering_amplitudes_are_bad_input(amplitude, capsys):
 
 def test_expectations_follow_the_closed_forms_in_lambda(capsys):
     # attack acceptance is 1 - lambda/2 and the singlet's |CHSH| is
-    # 2*sqrt(2)*(1 - lambda/2) for every lambda, with no step at lambda = 0
+    # 2*sqrt(2)*(1 - lambda/2) for every lambda, with no step at lambda = 0;
+    # the classical world is the lambda = 1 end of the same family
     rng = np.random.default_rng(2024)
     lambdas = [0.0, 1.0, 1e-10, 1e-9] + [float(10.0**x) for x in rng.uniform(-300.0, 0.0, size=16)]
     # at lambda = 2 * REPORT_EDGE the attack verdict is decided by roundoff
     edge = 2.0 * REPORT_EDGE
     lambdas = [lam for lam in lambdas if abs(lam - edge) > 1e-3 * edge]
+    worlds = [(["--world", "dephased", "--lambda", repr(lam)], lam) for lam in lambdas]
+    worlds.append((["--world", "classical"], 1.0))
     tsirelson = 2.0 * np.sqrt(2.0)
-    for lam in lambdas:
-        argv = ["--world", "dephased", "--lambda", repr(lam), "--seed", "0"]
+    for world, lam in worlds:
+        argv = world + ["--seed", "0"]
         docs = {}
         for scenario in ("bitcommit", "constraints", "chsh"):
-            assert main([scenario] + argv) == 0, (scenario, lam)
+            assert main([scenario] + argv) == 0, (scenario, world)
             docs[scenario] = json.loads(capsys.readouterr().out)["results"]
         expected = 1.0 - lam / 2.0
-        assert abs(docs["bitcommit"]["min_attack_acceptance"] - expected) <= 1e-12, lam
-        assert abs(docs["constraints"]["steering_attack"]["min_acceptance"] - expected) <= 1e-12, lam
-        assert abs(docs["chsh"]["abs_score"] - tsirelson * expected) <= 1e-12, lam
+        assert abs(docs["bitcommit"]["min_attack_acceptance"] - expected) <= 1e-12, world
+        assert abs(docs["constraints"]["steering_attack"]["min_acceptance"] - expected) <= 1e-12, world
+        assert abs(docs["chsh"]["abs_score"] - tsirelson * expected) <= 1e-12, world
 
 
 # the options each scenario reads beyond --world, --lambda, --seed, --tol and --out

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from qworlds import qmat
+from qworlds.channels import _dephase
 from qworlds.entangle import BipartiteState, epr_singlet, negativity, purify, singlet_vector
 from qworlds.worlds import World, _broadcasting_battery, _signaling_battery, evaluate_constraints
 
 from tests.oracles import (
     broadcasting_battery_by_checks,
     dephase_by_loops,
+    diagonal_part,
     rand_density,
     signaling_battery_by_trials,
 )
@@ -73,6 +75,18 @@ def test_classical_separation_forces_computational_diagonal():
     state = epr_singlet()
     separated = World("classical").separate(state)
     assert np.allclose(separated.rho, np.diag(np.diag(state.rho)), atol=0)
+
+
+def test_computational_dephasing_is_one_kernel_and_the_classical_world_is_lambda_one():
+    rng = np.random.default_rng(18)
+    for d in (2, 3, 4, 8, 16):
+        for rho in (rand_density(rng, d), np.stack([rand_density(rng, d) for _ in range(10)])):
+            assert np.array_equal(_dephase(None, rho, 1.0), diagonal_part(rho))
+            for lam in (0.3, 0.7):
+                assert np.allclose(_dephase(None, rho, lam), _dephase(np.eye(d), rho, lam), atol=1e-12)
+    # non-degenerate diagonal marginals: the separation basis is the computational one up to phases
+    state = BipartiteState(qmat.projector([np.sqrt(0.7), 0, 0, np.sqrt(0.3)]), (2, 2))
+    assert np.allclose(World("classical").separate(state).rho, World.dephased(1.0).separate(state).rho, atol=1e-12)
 
 
 def test_transmit_policies():
