@@ -26,12 +26,15 @@ import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import __version__, qmat
 from .algebra import CloneRefusal, _broadcast_deviations, classical_broadcaster, clone_orthogonal_pair
+from .channels import GeneralizedMeasurement
 from .entangle import (
+    Ensemble,
     SteeringExampleConfig,
     canonical_chsh_settings,
     chsh_score,
@@ -114,10 +117,20 @@ def _attack_expected(world: World) -> bool:
     return 1.0 - world._lambda / 2.0 >= 1.0 - REPORT_EDGE
 
 
+@lru_cache(maxsize=1)
+def _steering_setup(config: SteeringExampleConfig, t: float) -> tuple[Ensemble, GeneralizedMeasurement]:
+    """The steer target and its HJW measurement on the singlet at τ = t; the latest key only.
+
+    Called with the current τ, so both are validated at t. Neither depends on the
+    world, which acts later on the separated pair, and both are immutable.
+    """
+    target = four_state_ensemble(config)
+    return target, hjw_steering_measurement(singlet_vector(), (2, 2), target)
+
+
 def _run_steer(req: ScenarioRequest, world: World) -> tuple[dict, dict]:
-    target = four_state_ensemble(SteeringExampleConfig(req.alpha, req.beta))
+    target, measurement = _steering_setup(SteeringExampleConfig(req.alpha, req.beta), qmat.tolerance())
     state = world.separate(epr_singlet())
-    measurement = hjw_steering_measurement(singlet_vector(), (2, 2), target)
     ensemble = steer(state, measurement)
     probs = [float(p) for p in ensemble.probabilities]
     fidelities = [

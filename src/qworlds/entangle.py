@@ -231,11 +231,22 @@ def purify(rho, ancilla_dim: int) -> np.ndarray:
 
 def pure_vector(rho) -> np.ndarray:
     """Extract the state vector of a rank-1 density operator."""
-    rho = qmat.require_density(rho)
-    w, v = qmat.eigh(rho)
-    if abs(float(w[0]) - 1.0) > max(qmat.tolerance(), 1e-8):
-        raise ValueError(f"state is not pure: top eigenvalue {float(w[0])}")
-    return v[:, 0]
+    return _pure_vectors(qmat._operands(rho, stack=False))
+
+
+def _pure_vectors(rho) -> np.ndarray:
+    """`pure_vector` for one matrix, or for each of a stack along the leading axis.
+
+    One density check at τ, one eigendecomposition and one purity check
+    serve the whole stack. For a stack a failure names the member.
+    """
+    w, v = qmat.eigh(qmat._require_densities(rho, qmat.tolerance()))
+    top = w[..., 0].reshape(-1)
+    impure = np.flatnonzero(np.abs(top - 1.0) > max(qmat.tolerance(), 1e-8))
+    if impure.size:
+        message = f"state is not pure: top eigenvalue {float(top[impure[0]])}"
+        raise ValueError(message if w.ndim == 1 else f"stack member {impure[0]}: {message}")
+    return v[..., 0]
 
 
 def _require_average(target: Ensemble, marginal_b: np.ndarray, t: float, mismatch: str) -> None:
@@ -277,8 +288,7 @@ def hjw_steering_measurement(
     coeffs = dec.coefficients
     support = sum(qmat.projector(b) for b in dec.b_basis)
     effects = []
-    for i, (p, member) in enumerate(zip(target.probabilities, target.members)):
-        tvec = pure_vector(member)
+    for i, (p, tvec) in enumerate(zip(target.probabilities, _pure_vectors(target.members))):
         residual = float(np.real(np.vdot(tvec, tvec) - np.vdot(tvec, support @ tvec)))
         if residual > max(t, 1e-9):
             raise UnsupportedTargetError(

@@ -22,10 +22,10 @@ from .channels import GeneralizedMeasurement, KrausChannel, _trace_preserving
 from .entangle import (
     BipartiteState,
     Ensemble,
+    _pure_vectors,
     _require_average,
     hjw_steering_measurement,
     purify,
-    pure_vector,
     steered_branches,
 )
 from .qmat import DimensionMismatchError
@@ -64,8 +64,7 @@ class CommitmentScheme:
     def __post_init__(self):
         if self.ensemble_0.dim != self.ensemble_1.dim:
             raise DimensionMismatchError("both ensembles must live on Bob's space")
-        for member in np.concatenate((self.ensemble_0.members, self.ensemble_1.members)):
-            pure_vector(member)  # raises if not rank 1
+        _pure_vectors(np.concatenate((self.ensemble_0.members, self.ensemble_1.members)))  # raises if not rank 1
 
     @property
     def dim(self) -> int:

@@ -317,6 +317,15 @@ def steered_branches_by_effect(effects, rho: np.ndarray, dims: tuple[int, int]) 
     return branches
 
 
+def pure_vector_by_member(rho) -> np.ndarray:
+    """The per-matrix `pure_vector` that the stacked extraction replaced."""
+    rho = qmat.require_density(rho)
+    w, v = qmat.eigh(rho)
+    if abs(float(w[0]) - 1.0) > max(qmat.tolerance(), 1e-8):
+        raise ValueError(f"state is not pure: top eigenvalue {float(w[0])}")
+    return v[:, 0]
+
+
 def ensemble_average_by_member(probabilities, members) -> np.ndarray:
     return sum(p * m for p, m in zip(probabilities, members))
 

@@ -1,10 +1,15 @@
+import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qworlds
 from qworlds import cli, qmat
 from qworlds.cli import (
     EXIT_BAD_PARAMS,
@@ -17,6 +22,7 @@ from qworlds.cli import (
     main,
     run_scenario,
 )
+from qworlds.entangle import SteeringExampleConfig
 from qworlds.protocols import REPORT_EDGE
 
 
@@ -238,3 +244,74 @@ def test_readme_scenario_list_matches_the_cli():
     for name, *options in usages:
         for field in cli._SCENARIOS[name].fields:
             assert f"--{field}" in options, (name, field)
+
+
+STEER_WORLDS = (("quantum", 1.0), ("dephased", 0.3), ("classical", 1.0))
+# (1, -0.0) comes right after (1, 0): an equal config, so it shares that entry
+STEER_AMPLITUDES = ((0.6, 0.8), (0.8, 0.6), (1.0, 0.0), (-0.6, 0.8), (1.0, -0.0))
+
+
+def test_steering_setup_is_built_once_per_amplitudes_and_tolerance(monkeypatch):
+    builds = []
+    build = cli.hjw_steering_measurement
+    monkeypatch.setattr(cli, "hjw_steering_measurement", lambda *args: builds.append(args) or build(*args))
+    cli._steering_setup.cache_clear()
+
+    def run_thirty(tol, alpha=0.6, beta=0.8):
+        for k in range(30):
+            world, strength = STEER_WORLDS[k % len(STEER_WORLDS)]
+            run_scenario(ScenarioRequest("steer", world, strength, alpha=alpha, beta=beta, seed=k, tol=tol))
+
+    run_thirty(1e-9)
+    assert len(builds) == 1  # one measurement for every world and seed
+    run_thirty(1e-4)
+    assert len(builds) == 2  # a new tolerance builds once more
+    run_thirty(1e-9)
+    assert len(builds) == 3  # only the latest tolerance is kept
+    run_thirty(1e-9, 0.8, 0.6)
+    assert len(builds) == 4  # and only the latest amplitudes
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-4])
+@pytest.mark.parametrize("world, strength", STEER_WORLDS)
+def test_shared_steering_setup_gives_the_reports_of_a_fresh_one(world, strength, tol):
+    for alpha, beta in STEER_AMPLITUDES:
+        req = ScenarioRequest("steer", world, strength, alpha=alpha, beta=beta, seed=3, tol=tol)
+        run_scenario(req)
+        warm = run_scenario(req).render()
+        cli._steering_setup.cache_clear()
+        cold = run_scenario(req).render()
+        assert warm == cold, (alpha, beta)
+
+
+def test_shared_steering_setup_matches_a_fresh_process():
+    req = ScenarioRequest("steer", world_kind="dephased", strength=0.3, alpha=0.8, beta=0.6, seed=11)
+    run_scenario(req)
+    warm = run_scenario(req).render()
+    src = str(Path(qworlds.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop(cli.TOL_ENV_VAR, None)
+    args = ["steer", "--world", "dephased", "--lambda", "0.3", "--alpha", "0.8", "--beta", "0.6", "--seed", "11"]
+    fresh = subprocess.run([sys.executable, "-m", "qworlds", *args], capture_output=True, text=True, env=env, timeout=120)
+    assert fresh.returncode == EXIT_FLAGS_FAILED  # steering flags test the quantum outcome
+    assert fresh.stdout == warm
+
+
+def test_shared_steering_setup_is_read_only():
+    setup = cli._steering_setup(SteeringExampleConfig(0.6, 0.8), qmat.tolerance())
+    target, measurement = setup
+    assert cli._steering_setup(SteeringExampleConfig(0.6, 0.8), qmat.tolerance()) is setup
+    with pytest.raises(TypeError):
+        setup[0] = target
+    with pytest.raises(ValueError):
+        target.members[0][...] = target.members[1]
+    with pytest.raises(ValueError):
+        target.probabilities[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        target.members = target.members[::-1]
+    with pytest.raises(ValueError):
+        measurement.effects[0][...] = measurement.effects[1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        measurement.effects = measurement.effects[::-1]
+    report = run_scenario(ScenarioRequest("steer", alpha=0.6, beta=0.8, tol=qmat.tolerance()))
+    assert report.all_flags_pass()

@@ -10,6 +10,7 @@ from qworlds.entangle import (
     SchmidtDecomposition,
     SteeringExampleConfig,
     UnsupportedTargetError,
+    _pure_vectors,
     bell_basis,
     canonical_chsh_settings,
     chsh_score,
@@ -32,6 +33,7 @@ from qworlds.entangle import (
 from tests.oracles import (
     ensemble_average_by_member,
     matching_pure_ensemble,
+    pure_vector_by_member,
     rand_density,
     rand_povm,
     rand_pure,
@@ -381,6 +383,38 @@ def test_pure_vector_extraction():
     assert qmat.vectors_match(pure_vector(qmat.projector(v)), v)
     with pytest.raises(ValueError):
         pure_vector(np.eye(2, dtype=complex) / 2)
+
+
+def test_stacked_pure_state_extraction_matches_pure_vector_bit_for_bit():
+    rng = np.random.default_rng(71)
+    for d in (2, 3, 4, 8):
+        for n in (1, 2, 4, 9):
+            members = np.stack([qmat.projector(rand_pure(rng, d)) for _ in range(n)])
+            got = _pure_vectors(members)
+            assert got.shape == (n, d)
+            for vector, member in zip(got, members):
+                assert vector.tobytes() == pure_vector(member).tobytes() == pure_vector_by_member(member).tobytes()
+
+
+def test_stacked_pure_state_extraction_names_the_failing_member():
+    members = np.stack([qmat.projector([1, 0]), qmat.projector([0, 1]), np.eye(2, dtype=complex) / 2])
+    with pytest.raises(ValueError, match=r"^stack member 2: state is not pure: top eigenvalue 0\.5$"):
+        _pure_vectors(members)
+    with pytest.raises(ValueError, match=r"^state is not pure: top eigenvalue 0\.5$"):
+        pure_vector(members[2])
+    with pytest.raises(ValueError, match=r"^stack member 0: state is not pure"):
+        hjw_steering_measurement(singlet_vector(), (2, 2), Ensemble(np.array([1.0]), members[2:]))
+    # the density check runs at the current tolerance: a trace 1e-6 off passes at 1e-4 only
+    loose = qmat.projector(np.array([1, 0], dtype=complex) * np.sqrt(1 + 1e-6))
+    caller_tol = qmat.tolerance()
+    try:
+        qmat.set_tolerance(1e-4)
+        assert _pure_vectors(np.stack([members[0], loose])).shape == (2, 2)
+        qmat.set_tolerance(1e-9)
+        with pytest.raises(ValueError, match=r"^stack member 1: density operator trace"):
+            _pure_vectors(np.stack([members[0], loose]))
+    finally:
+        qmat.set_tolerance(caller_tol)
 
 
 def test_steering_config_validation():
