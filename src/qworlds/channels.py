@@ -174,9 +174,18 @@ def dephase(channel: DephasingChannel, rho) -> np.ndarray:
 
 def _dephase(basis: np.ndarray | None, rho: np.ndarray, strength: float) -> np.ndarray:
     """`dephase` over the last two axes, unchecked, in the rows of each `basis` member; None: computational."""
-    damp = np.full(rho.shape[-2:], 1.0 - strength)
+    return _damped(basis, _in_basis(basis, rho), strength)
+
+
+def _in_basis(basis: np.ndarray | None, rho: np.ndarray) -> np.ndarray:
+    """The first half of `_dephase`: ρ's entries in the rows of `basis`, (conj(B) ρ) Bᵀ; None: ρ itself."""
+    return rho if basis is None else np.conj(basis) @ rho @ basis.swapaxes(-1, -2)
+
+
+def _damped(basis: np.ndarray | None, in_basis: np.ndarray, strength: float) -> np.ndarray:
+    """The second half of `_dephase`: off-diagonals of `in_basis` times (1 - strength), back in the standard basis."""
+    damp = np.full(in_basis.shape[-2:], 1.0 - strength)
     np.fill_diagonal(damp, 1.0)
     if basis is None:
-        return rho * damp
-    in_basis = np.conj(basis) @ rho @ basis.swapaxes(-1, -2)
+        return in_basis * damp
     return basis.swapaxes(-1, -2) @ (in_basis * damp) @ np.conj(basis)

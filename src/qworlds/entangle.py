@@ -6,7 +6,7 @@ because measurement branches pick up outcome-dependent signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,10 +30,12 @@ class BipartiteState:
     """Density operator on a two-factor space with dims (dA, dB), A index major.
 
     Immutable, as `Ensemble` is: `rho` is a read-only copy of the input.
+    `World.separate` keeps on it what the pair alone fixes at the latest τ.
     """
 
     rho: np.ndarray
     dims: tuple[int, int]
+    _separation_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # τ -> parts
 
     def __post_init__(self):
         da, db = int(self.dims[0]), int(self.dims[1])
@@ -214,7 +216,7 @@ def purify(rho, ancilla_dim: int) -> np.ndarray:
     the ancilla dimension to be at least the rank of rho.
     """
     rho = qmat.require_density(rho)
-    w, v = qmat.eigh(rho)
+    w, v = qmat._eigh(rho)
     w = np.clip(w, 0.0, None)
     rank = int(np.sum(w > _RANK_CUTOFF))
     ancilla_dim = int(ancilla_dim)
@@ -240,7 +242,7 @@ def _pure_vectors(rho) -> np.ndarray:
     One density check at τ, one eigendecomposition and one purity check
     serve the whole stack. For a stack a failure names the member.
     """
-    w, v = qmat.eigh(qmat._require_densities(rho, qmat.tolerance()))
+    w, v = qmat._eigh(qmat._require_densities(rho, qmat.tolerance()))
     top = w[..., 0].reshape(-1)
     impure = np.flatnonzero(np.abs(top - 1.0) > max(qmat.tolerance(), 1e-8))
     if impure.size:

@@ -321,7 +321,11 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
     of each eigenvector real and nonnegative. Over the last two axes, with
     the Hermiticity check of `require_hermitian` for each member.
     """
-    m = _require_members(_operands(h, stack=True), tolerance(), _hermitian)
+    return _eigh(_require_members(_operands(h, stack=True), tolerance(), _hermitian))
+
+
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`eigh` without its check, for operators the caller has just checked Hermitian at τ."""
     m = (m + dagger(m)) / 2.0
     try:
         w, v = np.linalg.eigh(m)

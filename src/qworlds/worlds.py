@@ -3,7 +3,8 @@
 The three worlds are one dephasing family. Separation damps a shared pair's
 off-diagonals by a strength λ: 0 (quantum), λ in the product of the marginal
 eigenbases (dephased; see `World.separation_basis`), or 1 in the computational
-product basis, where lone states dephase too (classical). `evaluate_constraints`
+product basis, where lone states dephase too (classical); a pair keeps what it
+alone fixes at τ (see `World.separate`). `evaluate_constraints`
 runs a fixed seeded battery of signaling, broadcasting, and bit-commitment
 scenarios in a world and reports which of the three constraints hold there,
 each with its concrete witness.
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import qmat
 from .algebra import BlockAlgebra, _broadcast_deviations, _broadcaster_kraus
-from .channels import _dephase, _kraus_totals
+from .channels import _damped, _dephase, _in_basis, _kraus_totals
 from .entangle import BipartiteState
 from .protocols import REPORT_EDGE, _marginal_shifts, classical_unique_decomposition, commitment_round
 from .qmat import dagger
@@ -52,7 +53,7 @@ class World:
         return 1.0 if self.kind == "classical" else self.strength
 
     def separation_basis(self, state: BipartiteState) -> np.ndarray:
-        """Product basis rows (A eigenbasis x B eigenbasis) used for dephasing.
+        """Product basis rows (A eigenbasis x B eigenbasis) used for dephasing, read-only.
 
         The rows are the Kronecker products of the eigenvectors of the two
         marginals, from the deterministic `qmat.eigh` ordering and phases.
@@ -60,9 +61,9 @@ class World:
         state it is the Schmidt product basis only when no marginal
         eigenvalue is degenerate; a degenerate pure pair such as
         (|0+> + |1->)/sqrt(2) gets two unrelated marginal bases instead of
-        its Schmidt pairs (ROADMAP item 4).
+        its Schmidt pairs (ROADMAP item 4). Fixed by the pair alone, not by λ.
         """
-        return _separation_basis(state.rho, state.dims)
+        return _frame(state)[0]
 
     def separate(self, state: BipartiteState) -> BipartiteState:
         """Transform a shared pair as the world's separation process dictates.
@@ -70,19 +71,26 @@ class World:
         Off-diagonals are damped by (1 - λ), λ the world's effective strength:
         none in the quantum world, in the separation basis with both marginals
         kept exactly (dephased), and λ = 1 in the computational basis (classical).
+        Quantum returns `state`; the classical pair, and the basis with ρ in it, are kept per (pair, τ).
         """
-        rho = self._separated(state.rho, state.dims)
-        return state if rho is state.rho else BipartiteState(rho, state.dims)
+        if self._lambda == 0.0:
+            return state
+        if self.kind == "dephased":
+            return BipartiteState(_damped(*_frame(state), self._lambda), state.dims)
+        kept = _kept(state)
+        if "classical" not in kept:
+            kept["classical"] = BipartiteState(self._separated(state.rho, state.dims), state.dims)
+        return kept["classical"]
 
     def _separated(self, rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
         """The separation rule on validated density operators, over the last two axes.
 
-        One `_dephase` at the effective strength, in the computational basis (classical) or the
-        checked separation basis. Returns `rho` itself at λ = 0; a new output is not yet checked.
+        One `_dephase` (the two halves `separate` runs) at the effective strength, in the computational basis
+        (classical) or the checked separation basis. Returns `rho` itself at λ = 0; a new output is not yet checked.
         """
         if self._lambda == 0.0:
             return rho
-        basis = None if self.kind == "classical" else qmat.require_orthonormal_rows(_separation_basis(rho, dims))
+        basis = None if self.kind == "classical" else _separation_basis(rho, dims)
         return _dephase(basis, rho, self._lambda)
 
     def transmit(self, rho: np.ndarray) -> np.ndarray:
@@ -98,10 +106,27 @@ class World:
 
 
 def _separation_basis(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """`World.separation_basis` over the last two axes of a stack of density operators."""
+    """`World.separation_basis` over the last two axes of a stack of density operators, checked orthonormal."""
     _, va = qmat.eigh(qmat.partial_trace(rho, dims, "A"))
     _, vb = qmat.eigh(qmat.partial_trace(rho, dims, "B"))
-    return qmat.kron_pairs(va.swapaxes(-1, -2), vb.swapaxes(-1, -2))
+    return qmat.require_orthonormal_rows(qmat.kron_pairs(va.swapaxes(-1, -2), vb.swapaxes(-1, -2)))
+
+
+def _kept(state: BipartiteState) -> dict:
+    """What `state` keeps at the current τ, after dropping what it kept at any other τ."""
+    t, memo = qmat.tolerance(), state._separation_memo
+    if t not in memo:
+        memo.clear()
+    return memo.setdefault(t, {})
+
+
+def _frame(state: BipartiteState) -> tuple[np.ndarray, np.ndarray]:
+    """The pair's kept separation frame: its checked basis B and ρ in it, both read-only."""
+    kept = _kept(state)
+    if "frame" not in kept:
+        basis = qmat._readonly(_separation_basis(state.rho, state.dims))
+        kept["frame"] = basis, qmat._readonly(_in_basis(basis, state.rho))
+    return kept["frame"]
 
 
 @dataclass(frozen=True)

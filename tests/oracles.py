@@ -223,6 +223,29 @@ def signaling_battery_by_trials(world, rng: np.random.Generator) -> tuple[bool, 
     return max_dist > 1e-10, witness
 
 
+def separate_by_parts(world, state: BipartiteState) -> BipartiteState:
+    """The un-memoized `World.separate`: every call builds and checks the basis and the output.
+
+    The marginal eigenbases come from `qmat.eigh`, their Kronecker product
+    rows are checked orthonormal, and the off-diagonals in that basis (the
+    computational one in the classical world) are damped by one minus the
+    world's effective strength, in the evaluation order of the one kernel,
+    `channels._dephase`. The result is checked as a new `BipartiteState`.
+    """
+    lam, rho = world._lambda, state.rho
+    if lam == 0.0:
+        return state
+    damp = np.full(rho.shape, 1.0 - lam)
+    np.fill_diagonal(damp, 1.0)
+    if world.kind == "classical":
+        return BipartiteState(rho * damp, state.dims)
+    _, va = qmat.eigh(qmat.partial_trace(rho, state.dims, "A"))
+    _, vb = qmat.eigh(qmat.partial_trace(rho, state.dims, "B"))
+    basis = qmat.require_orthonormal_rows(qmat.kron_pairs(va.T, vb.T))
+    in_basis = np.conj(basis) @ rho @ basis.T
+    return BipartiteState(basis.T @ (in_basis * damp) @ np.conj(basis), state.dims)
+
+
 def broadcast_check_by_parts(channel: KrausChannel, rho: np.ndarray) -> tuple[bool, float]:
     """One broadcast check as one channel application, two partial traces and two distances."""
     d = channel.d_in

@@ -396,6 +396,28 @@ def test_stacked_pure_state_extraction_matches_pure_vector_bit_for_bit():
                 assert vector.tobytes() == pure_vector(member).tobytes() == pure_vector_by_member(member).tobytes()
 
 
+def test_purify_and_pure_state_extraction_check_their_input_once(monkeypatch):
+    rng = np.random.default_rng(72)
+    checks = []
+    require_members = qmat._require_members
+
+    def counted(m, t, *args):
+        checks.append(m.shape)
+        return require_members(m, t, *args)
+
+    monkeypatch.setattr(qmat, "_require_members", counted)
+    purify(rand_density(rng, 3), 3)
+    assert checks == [(3, 3)]
+    checks.clear()
+    _pure_vectors(np.stack([qmat.projector(rand_pure(rng, 4)) for _ in range(5)]))
+    assert checks == [(5, 4, 4)]
+    # the one density check words a non-Hermitian input as the eigendecomposition's check did
+    with pytest.raises(ValueError, match=r"^operator deviates from Hermiticity by 1\.0$"):
+        purify(np.array([[1, 1], [0, 0]], dtype=complex), 2)
+    with pytest.raises(ValueError, match=r"^stack member 1: operator deviates from Hermiticity by 1\.0$"):
+        _pure_vectors(np.stack([qmat.projector([1, 0]), np.array([[1, 1], [0, 0]], dtype=complex)]))
+
+
 def test_stacked_pure_state_extraction_names_the_failing_member():
     members = np.stack([qmat.projector([1, 0]), qmat.projector([0, 1]), np.eye(2, dtype=complex) / 2])
     with pytest.raises(ValueError, match=r"^stack member 2: state is not pure: top eigenvalue 0\.5$"):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qworlds import qmat
+from qworlds import qmat, worlds
 from qworlds.channels import _dephase
 from qworlds.entangle import BipartiteState, epr_singlet, negativity, purify, singlet_vector
 from qworlds.worlds import World, _broadcasting_battery, _signaling_battery, evaluate_constraints
@@ -13,6 +13,7 @@ from tests.oracles import (
     dephase_by_loops,
     diagonal_part,
     rand_density,
+    separate_by_parts,
     signaling_battery_by_trials,
 )
 
@@ -87,6 +88,101 @@ def test_computational_dephasing_is_one_kernel_and_the_classical_world_is_lambda
     # non-degenerate diagonal marginals: the separation basis is the computational one up to phases
     state = BipartiteState(qmat.projector([np.sqrt(0.7), 0, 0, np.sqrt(0.3)]), (2, 2))
     assert np.allclose(World("classical").separate(state).rho, World.dephased(1.0).separate(state).rho, atol=1e-12)
+
+
+SEPARATING_WORLDS = [World("classical"), World.dephased(0.1), World.dephased(0.5), World.dephased(1.0)]
+
+
+def _pairs(rng: np.random.Generator, d: int) -> list[BipartiteState]:
+    """A mixed pair and a pure one, a purification as the EPR attack shares, on d x d."""
+    return [
+        BipartiteState(rand_density(rng, d * d), (d, d)),
+        BipartiteState(qmat.projector(purify(rand_density(rng, d), d)), (d, d)),
+    ]
+
+
+def _same_pair(a: BipartiteState, b: BipartiteState) -> bool:
+    return a.dims == b.dims and a.rho.tobytes() == b.rho.tobytes()
+
+
+def test_kept_separation_equals_the_unkept_one_bit_for_bit():
+    rng = np.random.default_rng(20)
+    for d in (2, 3, 4, 8):
+        for state in _pairs(rng, d):
+            for _ in range(2):  # the second pass reuses what the first kept
+                for world in SEPARATING_WORLDS:
+                    want = separate_by_parts(world, state)
+                    assert _same_pair(world.separate(state), want)
+                    assert _same_pair(world.separate(BipartiteState(state.rho, state.dims)), want)
+
+
+def test_a_pair_builds_and_checks_its_separation_once_per_tolerance(monkeypatch):
+    calls = {"basis": 0, "orthonormal": 0, "density": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    state = BipartiteState(rand_density(np.random.default_rng(21), 9), (3, 3))
+    monkeypatch.setattr(worlds, "_separation_basis", counted("basis", worlds._separation_basis))
+    monkeypatch.setattr(qmat, "require_orthonormal_rows", counted("orthonormal", qmat.require_orthonormal_rows))
+    monkeypatch.setattr(qmat, "require_density", counted("density", qmat.require_density))
+    classical = World("classical")
+    caller_tol = qmat.tolerance()
+    try:
+        for t in (1e-6, 1e-4, 1e-6):
+            qmat.set_tolerance(t)
+            before = dict(calls)
+            for lam in (0.3, 0.7, 0.3):
+                World.dephased(lam).separate(state)
+            World.dephased(0.5).separation_basis(state)
+            first = classical.separate(state)
+            assert classical.separate(state) is first
+            # one basis built and checked, one classical pair checked; each dephased output checked
+            assert calls["basis"] - before["basis"] == 1
+            assert calls["orthonormal"] - before["orthonormal"] == 1
+            assert calls["density"] - before["density"] == 3 + 1
+            assert list(state._separation_memo) == [t]
+    finally:
+        qmat.set_tolerance(caller_tol)
+
+
+def test_kept_basis_and_classical_pair_are_read_only():
+    state = BipartiteState(rand_density(np.random.default_rng(22), 4), (2, 2))
+    basis = World.dephased(0.5).separation_basis(state)
+    kept = [basis, World("classical").separate(state).rho, *state._separation_memo[qmat.tolerance()]["frame"]]
+    for a in kept:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+
+
+def test_distinct_pairs_keep_their_own_separation():
+    rng = np.random.default_rng(23)
+    rho = rand_density(rng, 4)
+    a, b = BipartiteState(rho, (2, 2)), BipartiteState(rho, (2, 2))  # equal, but two pairs
+    other = BipartiteState(rand_density(rng, 4), (2, 2))
+    world = World.dephased(0.5)
+    assert World("classical").separate(a) is not World("classical").separate(b)
+    assert world.separation_basis(a) is not world.separation_basis(b)
+    assert not np.array_equal(world.separation_basis(a), world.separation_basis(other))
+    assert _same_pair(world.separate(other), separate_by_parts(world, other))
+    assert a._separation_memo is not b._separation_memo
+
+
+@pytest.mark.parametrize(
+    "world", [World("classical"), World.dephased(0.3), World.dephased(1.0)],
+    ids=["classical", "dephased-0.3", "dephased-1"],
+)
+def test_stacked_separation_runs_the_kernel_of_separate(world):
+    rng = np.random.default_rng(24)
+    for dims in ((2, 2), (2, 3), (3, 3), (4, 4), (8, 8)):
+        rho = np.stack([rand_density(rng, dims[0] * dims[1]) for _ in range(6)])
+        for member, separated in zip(rho, world._separated(rho, dims)):
+            assert separated.tobytes() == world.separate(BipartiteState(member, dims)).rho.tobytes()
 
 
 def test_transmit_policies():
