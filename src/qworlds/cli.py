@@ -15,18 +15,19 @@ parameter values, 4 for an unwritable output path, 5 when an internal check
 breaks down numerically at the requested tolerance.
 
 The numeric tolerance defaults to the QWORLDS_TOL environment variable when
-set, and --tol overrides both.
+set, and --tol overrides both. `run_scenario` scopes it to its own run, so the
+process default τ (`qmat.set_tolerance`) and other threads' runs never see it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextvars
 import json
 import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -96,9 +97,9 @@ class ScenarioReport:
 
 
 def _validate(req: ScenarioRequest) -> World:
-    """Reject every out-of-range request parameter; return the request's world.
+    """Scope τ to `req.tol` in the current context, reject every out-of-range request parameter, and return the world.
 
-    Runs with τ already set to `req.tol`, so tolerance-dependent checks
+    τ is scoped before the scenario's check, so tolerance-dependent checks
     (the steering amplitudes) judge the input at the requested tolerance.
     """
     if req.scenario not in _SCENARIOS:
@@ -106,6 +107,7 @@ def _validate(req: ScenarioRequest) -> World:
     if req.seed < 0:
         raise InvalidParameterError(f"seed must be nonnegative, got {req.seed}")
     try:
+        qmat._scoped.set(qmat._checked_tolerance(req.tol))
         _SCENARIOS[req.scenario].check(req)
         return World(req.world_kind, req.strength if req.world_kind == "dephased" else 0.0)
     except ValueError as exc:
@@ -117,19 +119,21 @@ def _attack_expected(world: World) -> bool:
     return 1.0 - world._lambda / 2.0 >= 1.0 - REPORT_EDGE
 
 
-@lru_cache(maxsize=1)
-def _steering_setup(config: SteeringExampleConfig, t: float) -> tuple[Ensemble, GeneralizedMeasurement]:
-    """The steer target and its HJW measurement on the singlet at τ = t; the latest key only.
+def _steering_setup(config: SteeringExampleConfig) -> tuple[Ensemble, GeneralizedMeasurement]:
+    """The steer target and its HJW measurement on the singlet at the current τ, kept for the latest (config, τ).
 
-    Called with the current τ, so both are validated at t. Neither depends on the
-    world, which acts later on the separated pair, and both are immutable.
+    Neither depends on the world, which acts later on the separated pair, and both are immutable.
     """
-    target = four_state_ensemble(config)
-    return target, hjw_steering_measurement(singlet_vector(), (2, 2), target)
+
+    def build():
+        target = four_state_ensemble(config)
+        return target, hjw_steering_measurement(singlet_vector(), (2, 2), target)
+
+    return qmat._kept(qmat, "steering setup", build, config)
 
 
 def _run_steer(req: ScenarioRequest, world: World) -> tuple[dict, dict]:
-    target, measurement = _steering_setup(SteeringExampleConfig(req.alpha, req.beta), qmat.tolerance())
+    target, measurement = _steering_setup(SteeringExampleConfig(req.alpha, req.beta))
     state = world.separate(epr_singlet())
     ensemble = steer(state, measurement)
     probs = [float(p) for p in ensemble.probabilities]
@@ -290,21 +294,16 @@ def run_scenario(req: ScenarioRequest) -> ScenarioReport:
 
     The request is validated first (InvalidParameterError). Any ValueError
     the run raises after that is a numerical breakdown at the request's
-    tolerance and is re-raised as NumericalBreakdownError.
+    tolerance and is re-raised as NumericalBreakdownError. Both steps run in
+    one copy of the caller's context, where τ is `req.tol`: neither the
+    caller nor another thread sees that τ.
     """
-    caller_tol = qmat.tolerance()
+    in_scope = contextvars.copy_context().run
+    world = in_scope(_validate, req)
     try:
-        qmat.set_tolerance(req.tol)
+        results, flags = in_scope(_SCENARIOS[req.scenario].run, req, world)
     except ValueError as exc:
-        raise InvalidParameterError(str(exc)) from exc
-    try:
-        world = _validate(req)
-        try:
-            results, flags = _SCENARIOS[req.scenario].run(req, world)
-        except ValueError as exc:
-            raise NumericalBreakdownError(f"at tolerance {req.tol}: {exc}") from exc
-    finally:
-        qmat.set_tolerance(caller_tol)
+        raise NumericalBreakdownError(f"at tolerance {req.tol}: {exc}") from exc
     params = {"world": req.world_kind, "tol": req.tol}
     params.update((field, getattr(req, field)) for field in _SCENARIOS[req.scenario].fields)
     if req.world_kind == "dephased":

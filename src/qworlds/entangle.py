@@ -6,7 +6,7 @@ because measurement branches pick up outcome-dependent signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,12 +30,11 @@ class BipartiteState:
     """Density operator on a two-factor space with dims (dA, dB), A index major.
 
     Immutable, as `Ensemble` is: `rho` is a read-only copy of the input.
-    `World.separate` keeps on it what the pair alone fixes at the latest τ.
+    `World.separate` keeps, per pair, what the pair alone fixes at the latest τ.
     """
 
     rho: np.ndarray
     dims: tuple[int, int]
-    _separation_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # τ -> parts
 
     def __post_init__(self):
         da, db = int(self.dims[0]), int(self.dims[1])

@@ -10,8 +10,7 @@ member, which makes honest acceptance exactly 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -58,8 +57,6 @@ class CommitmentScheme:
 
     ensemble_0: Ensemble
     ensemble_1: Ensemble
-    # τ -> its _EprAttack; latest τ only
-    _epr_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ensemble_0.dim != self.ensemble_1.dim:
@@ -83,17 +80,18 @@ class CommitmentScheme:
         gap = qmat.frobenius_distance(self.ensemble_0.average(), self.ensemble_1.average())
         return gap <= qmat.tolerance() * self.dim
 
-    def _epr_attack(self, t: float) -> _EprAttack:
-        """The EPR attack at τ = t, replacing that of any other τ."""
-        if t not in self._epr_memo:
-            self._epr_memo.clear()
+    def _epr_attack(self) -> _EprAttack:
+        """The EPR attack at the current τ, which the scheme keeps for the latest τ (`qmat._kept`)."""
+
+        def build():
             d = self.dim
             psi = purify(self.average(), d)
-            self._epr_memo[t] = _EprAttack(
+            return _EprAttack(
                 BipartiteState(qmat.projector(psi), (d, d)),
                 tuple(hjw_steering_measurement(psi, (d, d), self.ensemble(b)) for b in (0, 1)),
             )
-        return self._epr_memo[t]
+
+        return qmat._kept(self, "epr attack", build)
 
 
 def bb84_scheme() -> CommitmentScheme:
@@ -116,15 +114,9 @@ def classical_scheme() -> CommitmentScheme:
     )
 
 
-@lru_cache(maxsize=1)
-def _reference_schemes(t: float) -> tuple[CommitmentScheme, CommitmentScheme]:
-    """The BB84 and classical schemes, shared by every round at τ = t.
-
-    Called with the current τ, so the schemes are validated at t. Sharing is
-    safe because a scheme and its ensembles are immutable. One entry matches
-    the schemes' own memo, which keeps the latest τ only.
-    """
-    return bb84_scheme(), classical_scheme()
+def _reference_schemes() -> tuple[CommitmentScheme, CommitmentScheme]:
+    """The BB84 and classical schemes at the current τ, shared, being immutable, by every round at that τ."""
+    return qmat._kept(qmat, "reference schemes", lambda: (bb84_scheme(), classical_scheme()))
 
 
 @dataclass(frozen=True)
@@ -206,7 +198,7 @@ def run_commitment(scheme: CommitmentScheme, strategy, world, rng_seed: int) -> 
         description = f"honest pure member on dim {scheme.dim}"
     elif isinstance(strategy, EprAttack):
         bit = strategy.unveil_bit
-        attack = scheme._epr_attack(t)
+        attack = scheme._epr_attack()
         separated = world.separate(attack.pair)
         target = scheme.ensemble(bit)  # raises on a bit outside {0, 1} before it indexes the measurements
         _require_average(
@@ -252,7 +244,7 @@ def commitment_round(world, rng: np.random.Generator) -> CommitmentRound:
     when both unveilings are accepted with probability 1 within REPORT_EDGE.
     Every round at one τ shares one pair of schemes, and so their EPR attack.
     """
-    bb84, classical = _reference_schemes(qmat.tolerance())
+    bb84, classical = _reference_schemes()
     honest_name, honest_scheme = ("classical", classical) if world.kind == "classical" else ("bb84", bb84)
     honest = [
         run_commitment(honest_scheme, Honest(bit), world, int(rng.integers(2**63))).acceptance_probability

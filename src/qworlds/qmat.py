@@ -26,12 +26,17 @@ and messages are those of the eigenvalue rule.
 
 from __future__ import annotations
 
+import weakref
+from contextvars import ContextVar
+
 import numpy as np
 
 DEFAULT_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 
-_tolerance = DEFAULT_TOL
+_tolerance = DEFAULT_TOL  # the process default τ
+_scoped = ContextVar("tolerance")  # the τ of a context that scopes its own
+_KEPT = weakref.WeakKeyDictionary()  # owner -> {slot: ((inputs, τ), what was built)}; see `_kept`
 
 
 class DimensionMismatchError(ValueError):
@@ -43,22 +48,41 @@ class ConvergenceError(RuntimeError):
 
 
 def tolerance() -> float:
-    """Current process-wide numeric tolerance used by invariant checks."""
-    return _tolerance
+    """τ for every invariant check: the current context's own if it scopes one, else the process default."""
+    return _scoped.get(_tolerance)
 
 
 def set_tolerance(value: float) -> None:
-    """Override the process-wide tolerance. Set once, before concurrent use.
+    """Set the process default τ, which every thread reads outside a scoped run (`cli.run_scenario`).
 
     The tolerance must be finite and at least machine epsilon: below that, one
     rounding step in a state the library builds itself fails its unit-norm or
     unit-trace check.
     """
     global _tolerance
+    _tolerance = _checked_tolerance(value)
+
+
+def _checked_tolerance(value: float) -> float:
     value = float(value)
     if not (_EPS <= value < np.inf):
         raise ValueError(f"tolerance must be finite and at least machine epsilon {_EPS:.4g}, got {value}")
-    _tolerance = value
+    return value
+
+
+def _kept(owner, slot: str, build, *inputs):
+    """`build()` at the current τ, kept by `owner` in `slot` for the latest (inputs, τ) only.
+
+    `inputs` is what `build` reads beside `owner` and τ. The entry lives as long as `owner` (a module for
+    what the process shares), so it must not refer to it. The store is not read after building: runs at
+    two τ may both build, but each gets what it built.
+    """
+    key = inputs, tolerance()
+    slots = _KEPT.get(owner) or _KEPT.setdefault(owner, {})  # `setdefault` alone makes a weakref per call
+    entry = slots.get(slot)
+    if entry is None or entry[0] != key:
+        entry = slots[slot] = key, build()
+    return entry[1]
 
 
 def _operands(entries, stack: bool) -> np.ndarray:

@@ -71,16 +71,15 @@ class World:
         Off-diagonals are damped by (1 - λ), λ the world's effective strength:
         none in the quantum world, in the separation basis with both marginals
         kept exactly (dephased), and λ = 1 in the computational basis (classical).
-        Quantum returns `state`; the classical pair, and the basis with ρ in it, are kept per (pair, τ).
+        Quantum returns `state`; `qmat._kept` keeps the classical pair, and the basis with ρ in it, per (pair, τ).
         """
         if self._lambda == 0.0:
             return state
         if self.kind == "dephased":
             return BipartiteState(_damped(*_frame(state), self._lambda), state.dims)
-        kept = _kept(state)
-        if "classical" not in kept:
-            kept["classical"] = BipartiteState(self._separated(state.rho, state.dims), state.dims)
-        return kept["classical"]
+        return qmat._kept(
+            state, "classical", lambda: BipartiteState(self._separated(state.rho, state.dims), state.dims)
+        )
 
     def _separated(self, rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
         """The separation rule on validated density operators, over the last two axes.
@@ -112,21 +111,14 @@ def _separation_basis(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     return qmat.require_orthonormal_rows(qmat.kron_pairs(va.swapaxes(-1, -2), vb.swapaxes(-1, -2)))
 
 
-def _kept(state: BipartiteState) -> dict:
-    """What `state` keeps at the current τ, after dropping what it kept at any other τ."""
-    t, memo = qmat.tolerance(), state._separation_memo
-    if t not in memo:
-        memo.clear()
-    return memo.setdefault(t, {})
-
-
 def _frame(state: BipartiteState) -> tuple[np.ndarray, np.ndarray]:
     """The pair's kept separation frame: its checked basis B and ρ in it, both read-only."""
-    kept = _kept(state)
-    if "frame" not in kept:
+
+    def build():
         basis = qmat._readonly(_separation_basis(state.rho, state.dims))
-        kept["frame"] = basis, qmat._readonly(_in_basis(basis, state.rho))
-    return kept["frame"]
+        return basis, qmat._readonly(_in_basis(basis, state.rho))
+
+    return qmat._kept(state, "frame", build)
 
 
 @dataclass(frozen=True)
@@ -282,7 +274,7 @@ def _commitment_battery(world: World, rng: np.random.Generator) -> tuple[bool, d
             classical_unique_decomposition(scheme.ensemble_0, scheme.ensemble_1, algebra)
         )
     if world.kind == "dephased" and world.strength > 0.0:
-        state = commit.attack_scheme._epr_attack(qmat.tolerance()).pair  # the pair the attack used
+        state = commit.attack_scheme._epr_attack().pair  # the pair the attack used
         witness["dephasing_basis"] = _complex_rows(world.separation_basis(state))
     return commit.attack_succeeds, witness
 

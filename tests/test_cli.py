@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,8 @@ from qworlds.cli import (
 )
 from qworlds.entangle import SteeringExampleConfig
 from qworlds.protocols import REPORT_EDGE
+
+from tests.scoping import scoped_tolerance
 
 
 def test_unknown_scenario_rejected():
@@ -108,6 +111,9 @@ def test_tolerance_threading(monkeypatch, capsys):
         assert qmat.tolerance() == 1e-6  # the caller's value, not the default
     finally:
         qmat.set_tolerance(qmat.DEFAULT_TOL)
+    with scoped_tolerance(1e-5):
+        run_scenario(ScenarioRequest(scenario="chsh"))
+        assert qmat.tolerance() == 1e-5  # a caller's scoped value too
 
     monkeypatch.setenv("QWORLDS_TOL", "1e-8")
     assert main(["chsh"]) == 0
@@ -116,6 +122,59 @@ def test_tolerance_threading(monkeypatch, capsys):
 
     monkeypatch.setenv("QWORLDS_TOL", "not-a-number")
     assert main(["chsh"]) == EXIT_BAD_PARAMS
+
+
+def test_process_tolerance_reaches_worker_threads_and_a_run_keeps_its_own(monkeypatch):
+    seen = {}
+    qmat.set_tolerance(1e-6)
+    try:
+        worker = threading.Thread(target=lambda: seen.update(worker=qmat.tolerance()))
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert seen["worker"] == 1e-6  # a thread started after set_tolerance reads it
+    finally:
+        qmat.set_tolerance(qmat.DEFAULT_TOL)
+
+    chsh = cli._SCENARIOS["chsh"]
+
+    def recording(req, world):
+        seen["run"] = qmat.tolerance()
+        return chsh.run(req, world)
+
+    monkeypatch.setitem(cli._SCENARIOS, "chsh", dataclasses.replace(chsh, run=recording))
+    assert run_scenario(ScenarioRequest(scenario="chsh", tol=1e-7)).all_flags_pass()
+    assert seen["run"] == 1e-7  # the run checks at its request's τ
+    assert qmat.tolerance() == qmat.DEFAULT_TOL  # which its caller does not see once it returns
+
+
+def test_concurrent_runs_at_two_tolerances_leave_the_process_tolerance_alone():
+    tols = (1e-4, 1e-9)
+    requests = {
+        tol: [ScenarioRequest(scenario, "dephased", 0.5, tol=tol) for scenario in ("constraints", "bitcommit")]
+        for tol in tols
+    }
+    serial = {tol: [run_scenario(req).render() for req in reqs] for tol, reqs in requests.items()}
+    before = qmat.tolerance()
+
+    def run(tol, rendered):
+        rendered[tol] = [run_scenario(req).render() for req in requests[tol]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the runs
+    try:
+        for _ in range(30):
+            rendered = {}
+            threads = [threading.Thread(target=run, args=(tol, rendered)) for tol in tols]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert qmat.tolerance() == before
+            assert rendered == serial  # each run's report is the serial one at its τ
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_every_scenario_passes_in_quantum_world():
@@ -255,7 +314,7 @@ def test_steering_setup_is_built_once_per_amplitudes_and_tolerance(monkeypatch):
     builds = []
     build = cli.hjw_steering_measurement
     monkeypatch.setattr(cli, "hjw_steering_measurement", lambda *args: builds.append(args) or build(*args))
-    cli._steering_setup.cache_clear()
+    qmat._KEPT.clear()
 
     def run_thirty(tol, alpha=0.6, beta=0.8):
         for k in range(30):
@@ -279,7 +338,7 @@ def test_shared_steering_setup_gives_the_reports_of_a_fresh_one(world, strength,
         req = ScenarioRequest("steer", world, strength, alpha=alpha, beta=beta, seed=3, tol=tol)
         run_scenario(req)
         warm = run_scenario(req).render()
-        cli._steering_setup.cache_clear()
+        qmat._KEPT.clear()
         cold = run_scenario(req).render()
         assert warm == cold, (alpha, beta)
 
@@ -298,9 +357,9 @@ def test_shared_steering_setup_matches_a_fresh_process():
 
 
 def test_shared_steering_setup_is_read_only():
-    setup = cli._steering_setup(SteeringExampleConfig(0.6, 0.8), qmat.tolerance())
+    setup = cli._steering_setup(SteeringExampleConfig(0.6, 0.8))
     target, measurement = setup
-    assert cli._steering_setup(SteeringExampleConfig(0.6, 0.8), qmat.tolerance()) is setup
+    assert cli._steering_setup(SteeringExampleConfig(0.6, 0.8)) is setup
     with pytest.raises(TypeError):
         setup[0] = target
     with pytest.raises(ValueError):

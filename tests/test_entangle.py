@@ -40,6 +40,7 @@ from tests.oracles import (
     rand_unitary,
     steered_branches_by_effect,
 )
+from tests.scoping import scoped_tolerance
 
 SQRT_HALF = 1 / np.sqrt(2)
 
@@ -205,14 +206,10 @@ def test_hjw_handles_rank_deficient_marginal():
 def test_hjw_measurement_is_checked_at_the_tolerance_that_built_it():
     # an average gap of 1.4e-6 fails at the default τ; at τ = 1e-4 the nested
     # POVM check judges the effects at that same τ
-    caller_tol = qmat.tolerance()
-    try:
-        qmat.set_tolerance(1e-4)
+    with scoped_tolerance(1e-4):
         target = Ensemble.from_pure_states([0.5 + 1e-6, 0.5 - 1e-6], [[1, 0], [0, 1]])
         m = hjw_steering_measurement(singlet_vector(), (2, 2), target)
         assert len(m.effects) == 2
-    finally:
-        qmat.set_tolerance(caller_tol)
     with pytest.raises(AverageMismatchError):
         hjw_steering_measurement(singlet_vector(), (2, 2), target)
 
@@ -428,15 +425,11 @@ def test_stacked_pure_state_extraction_names_the_failing_member():
         hjw_steering_measurement(singlet_vector(), (2, 2), Ensemble(np.array([1.0]), members[2:]))
     # the density check runs at the current tolerance: a trace 1e-6 off passes at 1e-4 only
     loose = qmat.projector(np.array([1, 0], dtype=complex) * np.sqrt(1 + 1e-6))
-    caller_tol = qmat.tolerance()
-    try:
-        qmat.set_tolerance(1e-4)
+    with scoped_tolerance(1e-4):
         assert _pure_vectors(np.stack([members[0], loose])).shape == (2, 2)
-        qmat.set_tolerance(1e-9)
+    with scoped_tolerance(1e-9):
         with pytest.raises(ValueError, match=r"^stack member 1: density operator trace"):
             _pure_vectors(np.stack([members[0], loose]))
-    finally:
-        qmat.set_tolerance(caller_tol)
 
 
 def test_steering_config_validation():

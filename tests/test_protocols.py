@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,7 @@ from tests.oracles import (
     rand_channel,
     rand_density,
 )
+from tests.scoping import scoped_tolerance
 
 
 SQRT_HALF = 1 / np.sqrt(2)
@@ -329,16 +331,12 @@ def test_attack_builds_both_bits_measurements_before_either_runs():
     # concealing at τ·dim, but bit 1's average misses the pair's marginal by more than τ
     z = Ensemble.from_pure_states([0.5, 0.5], [[1, 0], [0, 1]])
     x = Ensemble.from_pure_states([0.5 + 1e-4, 0.5 - 1e-4], [[SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]])
-    caller_tol = qmat.tolerance()
-    try:
-        qmat.set_tolerance(1e-4)
+    with scoped_tolerance(1e-4):
         scheme = CommitmentScheme(z, x)
         assert scheme.is_concealing()
         for bit in (0, 1):
             with pytest.raises(AverageMismatchError, match="target ensemble average deviates"):
                 run_commitment(scheme, EprAttack(bit), World("quantum"), rng_seed=3)
-    finally:
-        qmat.set_tolerance(caller_tol)
 
 
 MEMO_WORLDS = (
@@ -386,15 +384,25 @@ def test_epr_setup_is_built_once_per_scheme_bit_and_tolerance(monkeypatch):
 
     run_ten()
     assert counts == {"purify": 2, "hjw": 4}  # one pair per scheme, one measurement per (scheme, bit)
-    caller_tol = qmat.tolerance()
-    try:
-        qmat.set_tolerance(1e-8)
+    with scoped_tolerance(1e-8):
         run_ten()
         assert counts == {"purify": 4, "hjw": 8}  # a new tolerance builds once more
-    finally:
-        qmat.set_tolerance(caller_tol)
     run_ten()
     assert counts == {"purify": 6, "hjw": 12}  # only the latest tolerance is kept
+
+
+def test_what_a_scheme_or_pair_keeps_does_not_keep_it_alive():
+    # the kept EPR attack, and the frame and classical separation kept for its pair, refer to neither owner
+    scheme = bb84_scheme()
+    for world in MEMO_WORLDS:
+        run_commitment(scheme, EprAttack(1), world, 3)
+    pair = scheme._epr_attack().pair
+    assert set(qmat._KEPT[scheme]) == {"epr attack"} and set(qmat._KEPT[pair]) == {"frame", "classical"}
+    owners = weakref.ref(scheme), weakref.ref(pair)
+    kept = len(qmat._KEPT)
+    del scheme, pair
+    assert [owner() for owner in owners] == [None, None]  # freed at once: no reference, not even a cycle
+    assert len(qmat._KEPT) <= kept - 2  # and their entries with them
 
 
 def test_commitment_scheme_is_frozen():
@@ -412,8 +420,8 @@ def test_commitment_scheme_is_frozen():
 
 def test_epr_pair_and_steering_measurements_are_immutable():
     # each write once reached a scheme's EPR memo and turned an attack acceptance of 1 into 0.5
-    scheme, t = bb84_scheme(), qmat.tolerance()
-    attack = scheme._epr_attack(t)
+    scheme = bb84_scheme()
+    attack = scheme._epr_attack()
     with pytest.raises(AttributeError):
         attack.pair = BipartiteState(np.diag([0.25] * 4).astype(complex), (2, 2))
     with pytest.raises(AttributeError):
@@ -461,28 +469,24 @@ def test_ensembles_are_immutable_and_leave_the_callers_arrays_writeable():
 
 def test_reference_schemes_are_built_once_per_tolerance(monkeypatch):
     counts = count_epr_builds(monkeypatch)
-    protocols._reference_schemes.cache_clear()
+    qmat._KEPT.clear()
     rng = np.random.default_rng(5)
 
     def run_ten():
         for k in range(10):
             protocols.commitment_round(MEMO_WORLDS[k % len(MEMO_WORLDS)], rng)
 
-    caller_tol = qmat.tolerance()
-    try:
-        run_ten()
-        assert counts == {"purify": 1, "hjw": 2}  # one pair, one measurement per bit, for every round
-        qmat.set_tolerance(1e-8)
+    run_ten()
+    assert counts == {"purify": 1, "hjw": 2}  # one pair, one measurement per bit, for every round
+    with scoped_tolerance(1e-8):
         run_ten()
         assert counts == {"purify": 2, "hjw": 4}  # a new tolerance builds one more set
-    finally:
-        qmat.set_tolerance(caller_tol)
     run_ten()
     assert counts == {"purify": 3, "hjw": 6}  # only the latest tolerance is kept
 
 
 def test_commitment_round_names_the_schemes_it_ran():
-    bb84, classical = protocols._reference_schemes(qmat.tolerance())
+    bb84, classical = protocols._reference_schemes()
     cases = ((World("quantum"), "bb84", bb84), (World("classical"), "classical", classical))
     for world, honest_name, honest_scheme in cases:
         commit = protocols.commitment_round(world, np.random.default_rng(0))
@@ -505,7 +509,7 @@ REFERENCE_REQUESTS = [
 def test_shared_reference_schemes_give_the_reports_of_fresh_ones(req):
     run_scenario(req)
     warm = run_scenario(req).render()
-    protocols._reference_schemes.cache_clear()
+    qmat._KEPT.clear()
     cold = run_scenario(req).render()
     assert warm == cold
 

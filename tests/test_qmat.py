@@ -1,5 +1,4 @@
 import inspect
-from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +15,7 @@ from tests.oracles import (
     rand_pure,
     rand_unitary,
 )
+from tests.scoping import scoped_tolerance
 
 NONFINITE = (np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf), complex(0, -np.inf))
 
@@ -339,15 +339,6 @@ def test_stacked_density_check_fails_where_a_loop_over_the_members_fails_first()
 # -- positivity: the Cholesky certificate and its eigvalsh fallback
 
 
-@contextmanager
-def _tolerance(t):
-    qmat.set_tolerance(t)
-    try:
-        yield
-    finally:
-        qmat.set_tolerance(qmat.DEFAULT_TOL)
-
-
 def _with_spectrum(rng, w) -> np.ndarray:
     """Exactly Hermitian matrix with eigenvalues `w` in a Haar-random basis."""
     u = rand_unitary(rng, len(w))
@@ -418,7 +409,7 @@ def test_positivity_verdicts_match_the_eigenvalue_rule_near_minus_tau(n, t, cert
     _, dense_ok = positivity_by_eigvalsh(densities, t)
     _, effect_ok = positivity_by_eigvalsh(effects, t)
     assert 0 < dense_ok.sum() < 6 and 0 < effect_ok.sum() < 6
-    with _tolerance(t):
+    with scoped_tolerance(t):
         for rho in densities:
             _assert_positivity_verdict(lambda: qmat.require_density(rho), rho, t, "density operator")
         for stack in (densities, densities[dense_ok], np.asfortranarray(densities)):
@@ -460,7 +451,7 @@ def test_positivity_at_machine_epsilon_makes_no_cholesky_call(monkeypatch):
         qmat._require_densities(np.stack([rho, rho]), qmat.tolerance())
         channels.GeneralizedMeasurement([rho] * 16)
 
-    with _tolerance(np.finfo(float).eps):
+    with scoped_tolerance(np.finfo(float).eps):
         check()
     assert calls == []
     check()  # at the default τ the same checks are certified

@@ -16,6 +16,7 @@ from tests.oracles import (
     separate_by_parts,
     signaling_battery_by_trials,
 )
+from tests.scoping import scoped_tolerance
 
 SQRT_HALF = 1 / np.sqrt(2)
 
@@ -131,10 +132,8 @@ def test_a_pair_builds_and_checks_its_separation_once_per_tolerance(monkeypatch)
     monkeypatch.setattr(qmat, "require_orthonormal_rows", counted("orthonormal", qmat.require_orthonormal_rows))
     monkeypatch.setattr(qmat, "require_density", counted("density", qmat.require_density))
     classical = World("classical")
-    caller_tol = qmat.tolerance()
-    try:
-        for t in (1e-6, 1e-4, 1e-6):
-            qmat.set_tolerance(t)
+    for t in (1e-6, 1e-4, 1e-6):
+        with scoped_tolerance(t):
             before = dict(calls)
             for lam in (0.3, 0.7, 0.3):
                 World.dephased(lam).separate(state)
@@ -145,15 +144,13 @@ def test_a_pair_builds_and_checks_its_separation_once_per_tolerance(monkeypatch)
             assert calls["basis"] - before["basis"] == 1
             assert calls["orthonormal"] - before["orthonormal"] == 1
             assert calls["density"] - before["density"] == 3 + 1
-            assert list(state._separation_memo) == [t]
-    finally:
-        qmat.set_tolerance(caller_tol)
+            assert {key for key, _ in qmat._KEPT[state].values()} == {((), t)}
 
 
 def test_kept_basis_and_classical_pair_are_read_only():
     state = BipartiteState(rand_density(np.random.default_rng(22), 4), (2, 2))
     basis = World.dephased(0.5).separation_basis(state)
-    kept = [basis, World("classical").separate(state).rho, *state._separation_memo[qmat.tolerance()]["frame"]]
+    kept = [basis, World("classical").separate(state).rho, *qmat._KEPT[state]["frame"][1]]
     for a in kept:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -170,7 +167,7 @@ def test_distinct_pairs_keep_their_own_separation():
     assert world.separation_basis(a) is not world.separation_basis(b)
     assert not np.array_equal(world.separation_basis(a), world.separation_basis(other))
     assert _same_pair(world.separate(other), separate_by_parts(world, other))
-    assert a._separation_memo is not b._separation_memo
+    assert qmat._KEPT[a] is not qmat._KEPT[b]
 
 
 @pytest.mark.parametrize(
