@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, qmat
-from .algebra import CloneRefusal, _broadcast_deviations, classical_broadcaster, clone_orthogonal_pair
+from .algebra import CloneRefusal, _broadcast_deviations, _broadcaster_kraus, clone_orthogonal_pair
 from .channels import GeneralizedMeasurement
 from .entangle import (
     Ensemble,
@@ -237,11 +237,11 @@ def _run_chsh(req: ScenarioRequest, world: World) -> tuple[dict, dict]:
 def _run_broadcast(req: ScenarioRequest, world: World) -> tuple[dict, dict]:
     t = qmat.tolerance()
     rng = np.random.default_rng(req.seed)
-    channel = classical_broadcaster(np.eye(2, dtype=complex))
     p = float(rng.uniform(0.05, 0.95))
     # a diagonal pair, then |+><+|
     states = np.array([np.diag([p, 1 - p]), np.diag([0.5, 0.5]), [[0.5, 0.5], [0.5, 0.5]]], dtype=complex)
-    *commuting, off_diag = _broadcast_deviations(channel.kraus_ops, states, t).tolist()
+    kraus = _broadcaster_kraus(np.eye(2, dtype=complex))  # the computational basis, orthonormal as written
+    *commuting, off_diag = _broadcast_deviations(kraus, states, t).tolist()
     refusal = clone_orthogonal_pair(
         np.array([1, 0], dtype=complex),
         np.array([1, 1], dtype=complex) / np.sqrt(2),

@@ -221,27 +221,24 @@ def purify(rho, ancilla_dim: int) -> np.ndarray:
     ancilla_dim = int(ancilla_dim)
     if ancilla_dim < rank:
         raise ValueError(f"ancilla dim {ancilla_dim} is below the state rank {rank}")
-    d = rho.shape[0]
-    psi = np.zeros(ancilla_dim * d, dtype=complex)
-    for k in range(rank):
-        anc = np.zeros(ancilla_dim, dtype=complex)
-        anc[k] = 1.0
-        psi += np.sqrt(w[k]) * np.kron(anc, v[:, k])
+    psi = np.zeros((ancilla_dim, rho.shape[0]), dtype=complex)
+    psi[:rank] += np.sqrt(w[:rank])[:, None] * v[:, :rank].T  # adding into zeros turns -0.0 into 0.0
+    psi = psi.reshape(-1)
     return psi / np.linalg.norm(psi)
 
 
 def pure_vector(rho) -> np.ndarray:
     """Extract the state vector of a rank-1 density operator."""
-    return _pure_vectors(qmat._operands(rho, stack=False))
+    return _pure_vectors(qmat.require_density(rho))
 
 
-def _pure_vectors(rho) -> np.ndarray:
-    """`pure_vector` for one matrix, or for each of a stack along the leading axis.
+def _pure_vectors(rho: np.ndarray) -> np.ndarray:
+    """`pure_vector` for one checked density operator, or for each of a checked stack along the leading axis.
 
-    One density check at τ, one eigendecomposition and one purity check
-    serve the whole stack. For a stack a failure names the member.
+    One eigendecomposition and one purity check serve the whole stack. For a
+    stack a failure names the member.
     """
-    w, v = qmat._eigh(qmat._require_densities(rho, qmat.tolerance()))
+    w, v = qmat._eigh(rho)
     top = w[..., 0].reshape(-1)
     impure = np.flatnonzero(np.abs(top - 1.0) > max(qmat.tolerance(), 1e-8))
     if impure.size:
@@ -286,24 +283,22 @@ def hjw_steering_measurement(
     marginal_b = qmat.partial_trace(qmat.projector(psi), (da, db), "B")
     _require_average(target, marginal_b, t, "target ensemble average deviates from the B marginal")
     dec = schmidt(psi, (da, db))
-    coeffs = dec.coefficients
-    support = sum(qmat.projector(b) for b in dec.b_basis)
-    effects = []
-    for i, (p, tvec) in enumerate(zip(target.probabilities, _pure_vectors(target.members))):
-        residual = float(np.real(np.vdot(tvec, tvec) - np.vdot(tvec, support @ tvec)))
-        if residual > max(t, 1e-9):
-            raise UnsupportedTargetError(
-                f"target member {i} lies outside the marginal support (residual {residual})"
-            )
-        overlaps = np.conj(dec.b_basis) @ tvec  # <b_k|t_i>
-        d_k = np.sqrt(p) * overlaps / coeffs
-        alpha = np.conj(d_k) @ dec.a_basis
-        effects.append(qmat.projector(alpha))
-    total = sum(effects)
-    remainder = np.eye(da, dtype=complex) - total
+    vectors = _pure_vectors(target.members)
+    overlaps = vectors @ dec.b_basis.conj().T  # [i, k] = <b_k|t_i>
+    # ||t_i||^2 - ||B t_i||^2: the weight of |t_i> outside the support spanned by the b_k
+    residuals = (abs(vectors) ** 2).sum(axis=1) - (abs(overlaps) ** 2).sum(axis=1)
+    outside = np.flatnonzero(residuals > max(t, 1e-9))
+    if outside.size:
+        i = int(outside[0])
+        raise UnsupportedTargetError(
+            f"target member {i} lies outside the marginal support (residual {float(residuals[i])})"
+        )
+    alphas = (np.sqrt(target.probabilities)[:, None] * overlaps / dec.coefficients).conj() @ dec.a_basis
+    effects = alphas[:, :, None] * alphas.conj()[:, None, :]  # |alpha_i><alpha_i|
+    remainder = np.eye(da, dtype=complex) - effects.sum(axis=0)
     if qmat.frobenius_distance(remainder) > t * da:
-        effects.append((remainder + dagger(remainder)) / 2.0)
-    return GeneralizedMeasurement(tuple(effects))
+        effects = np.concatenate((effects, [(remainder + dagger(remainder)) / 2.0]))
+    return GeneralizedMeasurement(effects)
 
 
 def steered_branches(

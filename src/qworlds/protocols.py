@@ -25,7 +25,6 @@ from .entangle import (
     _require_average,
     hjw_steering_measurement,
     purify,
-    steered_branches,
 )
 from .qmat import DimensionMismatchError
 
@@ -182,7 +181,10 @@ def run_commitment(scheme: CommitmentScheme, strategy, world, rng_seed: int) -> 
     instead sends Bob half of a purification of the scheme average, and at
     opening measures her half with the steering measurement for the chosen
     ensemble, revealing the observed index. The acceptance probability is the
-    exact Born value; `accept` is its seeded sample.
+    exact Born value; `accept` is its seeded sample. For the attack it is
+    sum_j tr(T_j U_j) / sum_j tr U_j over Bob's unnormalized branches
+    U_j = Tr_A[(E_j x I) rho] and the claimed members T_j, where a branch at
+    or below τ, or the complement effect, accepts nothing.
     """
     t = qmat.tolerance()
     if not scheme.is_concealing():
@@ -204,19 +206,17 @@ def run_commitment(scheme: CommitmentScheme, strategy, world, rng_seed: int) -> 
         _require_average(
             target, separated.marginal_b(), t, "world transformation moved Bob's marginal off the target average"
         )
-        branches = steered_branches(separated, attack.measurements[bit])
-        n_targets = len(target.members)
-        fidelities = []
-        for j, (p, cond) in enumerate(branches):
-            if cond is None or j >= n_targets:
-                fidelities.append(0.0)
-                continue
-            claimed = target.members[j]
-            fidelities.append(float(np.real(np.trace(claimed @ cond))))
-        probs = np.array([p for p, _ in branches])
-        acceptance = float(np.dot(probs, fidelities) / probs.sum())
+        # outcome j has probability tr U_j, and Bob accepts its claimed member with tr(T_j U_j) / tr U_j
+        branches = qmat.marginal_b_after(attack.measurements[bit].effects, separated.rho, separated.dims)
+        p = branches.trace(0, -2, -1).real
+        n = len(target.members)  # a complement effect, if any, comes last and claims no member
+        hits = np.zeros_like(p)
+        hits[:n] = np.einsum("jab,jba->j", target.members, branches[:n]).real
+        hits[p <= t] = 0.0
+        probs = np.maximum(p, 0.0)
+        acceptance = float(hits.sum() / probs.sum())
         index = qmat.sample_index(probs, rng)
-        fidelity = fidelities[index]
+        fidelity = hits[index] / max(p[index], t)  # hits[index] is 0 unless p[index] > τ
         description = f"purification half on dim {scheme.dim} (EPR attack)"
     else:
         raise TypeError(f"unknown strategy {type(strategy).__name__}")

@@ -12,7 +12,7 @@ import numpy as np
 from qworlds import qmat
 from qworlds.algebra import classical_broadcaster
 from qworlds.channels import KrausChannel, apply_nonselective
-from qworlds.entangle import BipartiteState
+from qworlds.entangle import BipartiteState, UnsupportedTargetError, schmidt, steered_branches
 from qworlds.protocols import no_signaling_trial
 
 
@@ -366,3 +366,55 @@ def positivity_by_eigvalsh(s: np.ndarray, t: float) -> tuple[np.ndarray, np.ndar
     """
     w = np.linalg.eigvalsh((s + np.conj(s).swapaxes(-1, -2)) / 2.0)[..., 0]
     return w, w >= -t
+
+
+def hjw_effects_by_member(purification, dims: tuple[int, int], target) -> list[np.ndarray]:
+    """The HJW effects built one target member at a time, through the support projector.
+
+    The per-member loop that `entangle.hjw_steering_measurement` replaced,
+    with its checks of the purification and the target average left out.
+    """
+    t = qmat.tolerance()
+    psi = qmat.as_unit_vector(purification)
+    dec = schmidt(psi, dims)
+    support = sum(qmat.projector(b) for b in dec.b_basis)
+    effects = []
+    vectors = [pure_vector_by_member(m) for m in target.members]
+    for i, (p, tvec) in enumerate(zip(target.probabilities, vectors)):
+        residual = float(np.real(np.vdot(tvec, tvec) - np.vdot(tvec, support @ tvec)))
+        if residual > max(t, 1e-9):
+            raise UnsupportedTargetError(
+                f"target member {i} lies outside the marginal support (residual {residual})"
+            )
+        overlaps = np.conj(dec.b_basis) @ tvec  # <b_k|t_i>
+        d_k = np.sqrt(p) * overlaps / dec.coefficients
+        effects.append(qmat.projector(np.conj(d_k) @ dec.a_basis))
+    remainder = np.eye(dims[0], dtype=complex) - sum(effects)
+    if qmat.frobenius_distance(remainder) > t * dims[0]:
+        effects.append((remainder + np.conj(remainder).T) / 2.0)
+    return effects
+
+
+def epr_attack_by_branch(scheme, bit: int, world, rng_seed: int) -> tuple[int, bool, float]:
+    """(opened index, accept, acceptance) of an EPR-attack run, one steered branch at a time.
+
+    The per-branch loop that `protocols.run_commitment` replaced: each branch
+    above τ is normalized and Hermitized into Bob's conditional state, its
+    fidelity to the claimed member is taken, and the fidelities are weighted
+    by the branch probabilities.
+    """
+    rng = np.random.default_rng(rng_seed)
+    attack = scheme._epr_attack()
+    separated = world.separate(attack.pair)
+    target = scheme.ensemble(bit)
+    branches = steered_branches(separated, attack.measurements[bit])
+    fidelities = []
+    for j, (p, cond) in enumerate(branches):
+        if cond is None or j >= len(target.members):
+            fidelities.append(0.0)
+            continue
+        fidelities.append(float(np.real(np.trace(target.members[j] @ cond))))
+    probs = np.array([p for p, _ in branches])
+    acceptance = float(np.dot(probs, fidelities) / probs.sum())
+    index = qmat.sample_index(probs, rng)
+    return index, bool(rng.random() < fidelities[index]), acceptance

@@ -32,6 +32,7 @@ from qworlds.entangle import (
 
 from tests.oracles import (
     ensemble_average_by_member,
+    hjw_effects_by_member,
     matching_pure_ensemble,
     pure_vector_by_member,
     rand_density,
@@ -178,6 +179,7 @@ def test_hjw_random_roundtrip():
         target = Ensemble.from_pure_states(probs, vectors)
         psi = purify(rho, 2)
         m = hjw_steering_measurement(psi, (2, 2), target)
+        assert np.abs(m.effects - hjw_effects_by_member(psi, (2, 2), target)).max() <= 1e-14
         ens = steer(BipartiteState(qmat.projector(psi), (2, 2)), m)
         assert np.allclose(ens.probabilities, probs, atol=1e-9)
         for member, t in zip(ens.members, target.members):
@@ -196,6 +198,7 @@ def test_hjw_handles_rank_deficient_marginal():
     psi = purify(omega, 3)
     m = hjw_steering_measurement(psi, (3, 3), target)
     assert len(m.effects) == 4
+    assert np.abs(m.effects - hjw_effects_by_member(psi, (3, 3), target)).max() <= 1e-14
     ens = steer(BipartiteState(qmat.projector(psi), (3, 3)), m)
     assert len(ens.members) == 3
     assert np.allclose(ens.probabilities, probs, atol=1e-9)
@@ -226,8 +229,11 @@ def test_hjw_rejects_target_outside_support():
     eps = 1e-8
     psi = np.kron([1, 0], [1, 0])
     target = Ensemble.from_pure_states([1 - eps, eps], [[1, 0], [0, 1]])
-    with pytest.raises(UnsupportedTargetError):
+    with pytest.raises(UnsupportedTargetError, match=r"^target member 1 lies outside the marginal support") as got:
         hjw_steering_measurement(psi, (2, 2), target)
+    with pytest.raises(UnsupportedTargetError) as want:
+        hjw_effects_by_member(psi, (2, 2), target)
+    assert str(got.value) == str(want.value)
 
 
 def test_steer_singlet_z_measurement_anticorrelates():
@@ -406,13 +412,17 @@ def test_purify_and_pure_state_extraction_check_their_input_once(monkeypatch):
     purify(rand_density(rng, 3), 3)
     assert checks == [(3, 3)]
     checks.clear()
+    pure_vector(qmat.projector(rand_pure(rng, 4)))
+    assert checks == [(4, 4)]
+    checks.clear()
+    # the stacked extraction serves members an Ensemble or a scheme has checked already
     _pure_vectors(np.stack([qmat.projector(rand_pure(rng, 4)) for _ in range(5)]))
-    assert checks == [(5, 4, 4)]
+    assert checks == []
     # the one density check words a non-Hermitian input as the eigendecomposition's check did
     with pytest.raises(ValueError, match=r"^operator deviates from Hermiticity by 1\.0$"):
         purify(np.array([[1, 1], [0, 0]], dtype=complex), 2)
-    with pytest.raises(ValueError, match=r"^stack member 1: operator deviates from Hermiticity by 1\.0$"):
-        _pure_vectors(np.stack([qmat.projector([1, 0]), np.array([[1, 1], [0, 0]], dtype=complex)]))
+    with pytest.raises(ValueError, match=r"^operator deviates from Hermiticity by 1\.0$"):
+        pure_vector(np.array([[1, 1], [0, 0]], dtype=complex))
 
 
 def test_stacked_pure_state_extraction_names_the_failing_member():
@@ -426,10 +436,10 @@ def test_stacked_pure_state_extraction_names_the_failing_member():
     # the density check runs at the current tolerance: a trace 1e-6 off passes at 1e-4 only
     loose = qmat.projector(np.array([1, 0], dtype=complex) * np.sqrt(1 + 1e-6))
     with scoped_tolerance(1e-4):
-        assert _pure_vectors(np.stack([members[0], loose])).shape == (2, 2)
+        assert pure_vector(loose).shape == (2,)
     with scoped_tolerance(1e-9):
-        with pytest.raises(ValueError, match=r"^stack member 1: density operator trace"):
-            _pure_vectors(np.stack([members[0], loose]))
+        with pytest.raises(ValueError, match=r"^density operator trace"):
+            pure_vector(loose)
 
 
 def test_steering_config_validation():

@@ -43,10 +43,13 @@ from qworlds.worlds import World
 
 from tests.oracles import (
     attack_acceptance_by_enumeration,
+    epr_attack_by_branch,
+    hjw_effects_by_member,
     marginal_b_after_by_loops,
     matching_pure_ensemble,
     rand_channel,
     rand_density,
+    rand_unitary,
 )
 from tests.scoping import scoped_tolerance
 
@@ -130,6 +133,53 @@ def test_epr_attack_on_random_qutrit_scheme():
     for bit in (0, 1):
         transcript = run_commitment(scheme, EprAttack(bit), World("quantum"), rng_seed=11)
         assert transcript.acceptance_probability == pytest.approx(1.0, abs=1e-9)
+
+
+def random_basis_scheme(rng: np.random.Generator, d: int) -> CommitmentScheme:
+    """Two Haar-random orthonormal bases with uniform weights, drawn as the qudit benchmark draws them."""
+    w = [1.0 / d] * d
+    return CommitmentScheme(
+        Ensemble.from_pure_states(w, rand_unitary(rng, d).T), Ensemble.from_pure_states(w, rand_unitary(rng, d).T)
+    )
+
+
+ATTACK_WORLDS = (World("quantum"), World("dephased", 0.3), World("dephased", 1.0), World("classical"))
+
+
+@pytest.mark.parametrize("d", (2, 3, 4, 8))
+def test_epr_attack_and_its_measurements_match_the_per_branch_and_per_member_loops(d):
+    for seed in range(50):
+        scheme = random_basis_scheme(np.random.default_rng(seed), d)
+        attack = scheme._epr_attack()
+        psi = purify(scheme.average(), d)
+        for bit in (0, 1):
+            want = hjw_effects_by_member(psi, (d, d), scheme.ensemble(bit))
+            assert len(attack.measurements[bit].effects) == len(want)
+            assert np.abs(attack.measurements[bit].effects - want).max() <= 1e-14
+            for world in ATTACK_WORLDS:
+                got = run_commitment(scheme, EprAttack(bit), world, seed)
+                index, accept, acceptance = epr_attack_by_branch(scheme, bit, world, seed)
+                assert (got.opened_index, got.accept) == (index, accept)
+                assert abs(got.acceptance_probability - acceptance) <= 1e-14
+
+
+def test_a_branch_that_never_fires_or_is_below_tolerance_accepts_nothing():
+    # a pure average has a product purification: the HJW measurement's complement |1><1| has probability 0
+    scheme = CommitmentScheme(*[Ensemble.from_pure_states([1.0], [[1, 0]])] * 2)
+    effects = scheme._epr_attack().measurements[0].effects
+    assert np.array_equal(effects, [qmat.projector([1, 0]), qmat.projector([0, 1])])
+    # a member of weight 1e-11 steers a branch below τ, which counts as rejected
+    eps = 1e-11
+    faint = CommitmentScheme(*[Ensemble.from_pure_states([1 - eps, eps], [[1, 0], [0, 1]])] * 2)
+    for world in ATTACK_WORLDS:
+        for seed in range(20):
+            got = run_commitment(scheme, EprAttack(0), world, seed)
+            assert (got.opened_index, got.accept, got.acceptance_probability) == (0, True, 1.0)
+            assert epr_attack_by_branch(scheme, 0, world, seed) == (0, True, 1.0)
+            got = run_commitment(faint, EprAttack(1), world, seed)
+            assert (got.opened_index, got.accept) == (0, True)
+            assert got.acceptance_probability == pytest.approx(1 - eps, abs=1e-15)
+            assert epr_attack_by_branch(faint, 1, world, seed) == (0, True, got.acceptance_probability)
 
 
 def test_epr_attack_detected_in_fully_dephased_world():
