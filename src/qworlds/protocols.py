@@ -206,7 +206,7 @@ def run_commitment(scheme: CommitmentScheme, strategy, world, rng_seed: int) -> 
         _require_average(
             target, separated.marginal_b(), t, "world transformation moved Bob's marginal off the target average"
         )
-        # outcome j has probability tr U_j, and Bob accepts its claimed member with tr(T_j U_j) / tr U_j
+        # branches[j] is U_j: outcome j has probability tr U_j, and Bob accepts it with tr(T_j U_j) / tr U_j
         branches = qmat.marginal_b_after(attack.measurements[bit].effects, separated.rho, separated.dims)
         p = branches.trace(0, -2, -1).real
         n = len(target.members)  # a complement effect, if any, comes last and claims no member

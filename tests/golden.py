@@ -17,8 +17,8 @@ Two parts:
 
 Flags are one digit per flag (1 passes), in the order the table's
 "flag_names" gives per scenario; a request that raises has none. Numbers are
-rounded to 9 decimal places, with -0.0 written as 0.0, so a
-change in the last bits of a witness does not move the table.
+rounded to 9 decimal places, with -0.0 written as 0.0, so a change in the
+last bits of a witness does not move the table.
 """
 
 from __future__ import annotations
@@ -59,8 +59,6 @@ def _run(scenario: str, world: str, strength: float, seed: int, tol: float, flag
         report = cli.run_scenario(cli.ScenarioRequest(scenario, world, strength, seed=seed, tol=tol))
     except cli.NumericalBreakdownError:
         return cli.EXIT_NUMERICAL, None, None
-    except cli.InvalidParameterError:
-        return cli.EXIT_BAD_PARAMS, None, None
     status = 0 if report.all_flags_pass() else cli.EXIT_FLAGS_FAILED
     names = flag_names.setdefault(scenario, sorted(report.flags))
     return status, "".join(str(int(bool(report.flags[n]))) for n in names), _numbers(report.results)
