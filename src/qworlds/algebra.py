@@ -60,8 +60,10 @@ class AlgebraState:
             raise DimensionMismatchError("one weight per block is required")
         if float(w.min()) < -t:
             raise ValueError(f"negative block weight {float(w.min())}")
-        if abs(float(w.sum()) - 1.0) > t:
+        if not abs(float(w.sum()) - 1.0) <= t:  # a pass-test, so that NaN fails it
             raise ValueError(f"block weights sum to {float(w.sum())}, not 1")
+        if len(self.densities) != len(self.algebra.block_dims):  # before zip can drop the extra ones
+            raise DimensionMismatchError("one density per block is required")
         ds = []
         for k, (d, dim) in enumerate(zip(self.densities, self.algebra.block_dims)):
             d = qmat.require_density(d)
@@ -71,8 +73,6 @@ class AlgebraState:
                 )
             # require_density may return the caller's own array: copy before freezing
             ds.append(qmat._readonly(d.copy()))
-        if len(ds) != len(self.algebra.block_dims):
-            raise DimensionMismatchError("one density per block is required")
         object.__setattr__(self, "weights", qmat._readonly(w))
         object.__setattr__(self, "densities", tuple(ds))
 

@@ -70,7 +70,7 @@ class SchmidtDecomposition:
             raise ValueError("empty Schmidt decomposition")
         if float(c.min()) < -t or np.any(np.diff(c) > t):
             raise ValueError("coefficients must be nonnegative and descending")
-        if abs(float(np.sum(c**2)) - 1.0) > t:
+        if not abs(float(np.sum(c**2)) - 1.0) <= t:  # a pass-test, so that NaN fails it
             raise ValueError(f"squared coefficients sum to {float(np.sum(c ** 2))}, not 1")
         a_basis = qmat.require_orthonormal_rows(self.a_basis, "a_basis")
         b_basis = qmat.require_orthonormal_rows(self.b_basis, "b_basis")
@@ -111,7 +111,7 @@ class Ensemble:
             raise DimensionMismatchError("one probability per member is required")
         if float(p.min()) < -t:
             raise ValueError(f"negative probability {float(p.min())}")
-        if abs(float(p.sum()) - 1.0) > max(t, 1e-12 * p.size):
+        if not abs(float(p.sum()) - 1.0) <= max(t, 1e-12 * p.size):  # a pass-test, so that NaN fails it
             raise ValueError(f"probabilities sum to {float(p.sum())}, not 1")
         object.__setattr__(self, "probabilities", qmat._readonly(p))
         object.__setattr__(self, "members", members)
@@ -301,42 +301,34 @@ def hjw_steering_measurement(
     return GeneralizedMeasurement(effects)
 
 
-def steered_branches(
-    state: BipartiteState, measurement
-) -> list[tuple[float, np.ndarray | None]]:
-    """Outcome probability and Bob's conditional state for every effect, in order.
+def steered_branches(state: BipartiteState, measurement) -> tuple[np.ndarray, np.ndarray]:
+    """Bob's branches under a measurement on side A: the one kernel of `steer` and the EPR attack.
 
-    Outcome i occurs with p_i = trace((E_i x I) rho) and leaves B in
-    Tr_A[(E_i x I) rho] / p_i. A branch with probability below tolerance keeps
-    its index with probability max(p_i, 0) and conditional None.
+    Returns, one entry per effect in order, the outcome probabilities
+    p_i = Re tr U_i and the unnormalized conditionals U_i = Tr_A[(E_i x I) rho],
+    all from one `qmat.marginal_b_after` contraction. Outcome i leaves B in
+    U_i / p_i; callers decide what a branch at or below τ means.
     """
-    t = qmat.tolerance()
     effects = measurement.effects
     da, db = state.dims
     if effects.shape[1] != da:
         raise DimensionMismatchError(
             f"measurement dim {effects.shape[1]} does not match side A dim {da}"
         )
-    unnormalized = qmat.marginal_b_after(effects, state.rho, (da, db))
-    branches = []
-    for p, u in zip(unnormalized.trace(0, -2, -1).real.tolist(), unnormalized):
-        if p <= t:
-            branches.append((max(p, 0.0), None))
-            continue
-        cond = u / p
-        branches.append((p, (cond + dagger(cond)) / 2.0))
-    return branches
+    branches = qmat.marginal_b_after(effects, state.rho, (da, db))
+    return branches.trace(0, -2, -1).real, branches
 
 
 def steer(state: BipartiteState, measurement) -> Ensemble:
     """Apply a measurement on side A and collect Bob's conditional states.
 
-    Branches with probability below tolerance (see `steered_branches`) are
-    dropped and the remaining probabilities renormalized.
+    Branches with probability at or below tolerance (see `steered_branches`)
+    are dropped and the remaining probabilities renormalized.
     """
-    kept = [(p, cond) for p, cond in steered_branches(state, measurement) if cond is not None]
-    probs = np.array([p for p, _ in kept], dtype=float)
-    return Ensemble(probs / probs.sum(), tuple(cond for _, cond in kept))
+    p, branches = steered_branches(state, measurement)
+    kept = p > qmat.tolerance()
+    conditionals = branches[kept] / p[kept, None, None]
+    return Ensemble(p[kept] / p[kept].sum(), (conditionals + dagger(conditionals)) / 2.0)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from .entangle import (
     _require_average,
     hjw_steering_measurement,
     purify,
+    steered_branches,
 )
 from .qmat import DimensionMismatchError
 
@@ -183,8 +184,9 @@ def run_commitment(scheme: CommitmentScheme, strategy, world, rng_seed: int) -> 
     ensemble, revealing the observed index. The acceptance probability is the
     exact Born value; `accept` is its seeded sample. For the attack it is
     sum_j tr(T_j U_j) / sum_j tr U_j over Bob's unnormalized branches
-    U_j = Tr_A[(E_j x I) rho] and the claimed members T_j, where a branch at
-    or below τ, or the complement effect, accepts nothing.
+    U_j = Tr_A[(E_j x I) rho], read by `steered_branches`, the kernel `steer`
+    runs too, and the claimed members T_j, where a branch at or below τ, or
+    the complement effect, accepts nothing.
     """
     t = qmat.tolerance()
     if not scheme.is_concealing():
@@ -206,9 +208,8 @@ def run_commitment(scheme: CommitmentScheme, strategy, world, rng_seed: int) -> 
         _require_average(
             target, separated.marginal_b(), t, "world transformation moved Bob's marginal off the target average"
         )
-        # branches[j] is U_j: outcome j has probability tr U_j, and Bob accepts it with tr(T_j U_j) / tr U_j
-        branches = qmat.marginal_b_after(attack.measurements[bit].effects, separated.rho, separated.dims)
-        p = branches.trace(0, -2, -1).real
+        # outcome j has probability p_j = tr U_j, and Bob accepts it with tr(T_j U_j) / tr U_j
+        p, branches = steered_branches(separated, attack.measurements[bit])
         n = len(target.members)  # a complement effect, if any, comes last and claims no member
         hits = np.zeros_like(p)
         hits[:n] = np.einsum("jab,jba->j", target.members, branches[:n]).real

@@ -53,11 +53,14 @@ class World:
         return 1.0 if self.kind == "classical" else self.strength
 
     def separation_basis(self, state: BipartiteState) -> np.ndarray:
-        """Product basis rows (A eigenbasis x B eigenbasis) used for dephasing, read-only.
+        """The dephased world's product basis rows (A eigenbasis x B eigenbasis) for the pair, read-only.
 
-        The rows are the Kronecker products of the eigenvectors of the two
-        marginals, from the deterministic `qmat.eigh` ordering and phases.
-        This is the marginal rule for every state, pure or mixed. For a pure
+        Every world returns these rows, though only the dephased world
+        separates in them: the classical world separates in the computational
+        basis and the quantum world not at all. The rows are the Kronecker
+        products of the eigenvectors of the two marginals, from the
+        deterministic `qmat.eigh` ordering and phases. This is the marginal
+        rule for every state, pure or mixed. For a pure
         state it is the Schmidt product basis only when no marginal
         eigenvalue is degenerate; a degenerate pure pair such as
         (|0+> + |1->)/sqrt(2) gets two unrelated marginal bases instead of

@@ -12,7 +12,7 @@ import numpy as np
 from qworlds import qmat
 from qworlds.algebra import classical_broadcaster
 from qworlds.channels import KrausChannel, apply_nonselective
-from qworlds.entangle import BipartiteState, UnsupportedTargetError, schmidt, steered_branches
+from qworlds.entangle import BipartiteState, UnsupportedTargetError, schmidt
 from qworlds.protocols import no_signaling_trial
 
 
@@ -407,7 +407,7 @@ def epr_attack_by_branch(scheme, bit: int, world, rng_seed: int) -> tuple[int, b
     attack = scheme._epr_attack()
     separated = world.separate(attack.pair)
     target = scheme.ensemble(bit)
-    branches = steered_branches(separated, attack.measurements[bit])
+    branches = steered_branches_by_effect(attack.measurements[bit].effects, separated.rho, separated.dims)
     fidelities = []
     for j, (p, cond) in enumerate(branches):
         if cond is None or j >= len(target.members):

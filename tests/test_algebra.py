@@ -77,6 +77,11 @@ def test_algebra_state_invariants():
         AlgebraState(algebra, [0.5, 0.6], (np.eye(1), np.eye(2) / 2))
     with pytest.raises(ValueError):
         AlgebraState(algebra, [0.5, 0.5], (np.eye(1), np.eye(2)))  # trace 2 block
+    with pytest.raises(ValueError, match="block weights sum to nan, not 1"):
+        AlgebraState(BlockAlgebra((1, 1)), [np.nan, np.nan], (np.eye(1), np.eye(1)))
+    # an extra density is an error, not dropped
+    with pytest.raises(qmat.DimensionMismatchError, match="one density per block is required"):
+        AlgebraState(BlockAlgebra((1,)), [1.0], (np.eye(1), np.eye(1)))
     # immutable: a reassigned or edited weight would bypass the checks above
     s = AlgebraState(BlockAlgebra((1, 1)), [0.5, 0.5], (np.eye(1), np.eye(1)))
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -42,7 +42,7 @@ def sigma_z_measurement():
 def branch_probabilities(measurement, rho) -> np.ndarray:
     """trace(E_i rho) for each effect, as the branch weights of a state with a trivial side B."""
     state = BipartiteState(rho, (measurement.dim, 1))
-    return np.array([p for p, _ in steered_branches(state, measurement)])
+    return steered_branches(state, measurement)[0]
 
 
 def naimark_dilation(povm):
@@ -56,10 +56,14 @@ def naimark_dilation(povm):
 
 
 def dilated_branches(povm, rho):
-    """Probability and Lüders update sqrt(E_i) rho sqrt(E_i) / p_i per outcome, read through the dilation."""
+    """Probability and Lüders update sqrt(E_i) rho sqrt(E_i) / p_i per outcome, read through the dilation.
+
+    The update is None where p_i is at or below τ.
+    """
     embed, readout = naimark_dilation(povm)
     joint = BipartiteState(apply_nonselective(embed, rho), (readout.dim, povm.dim))
-    return steered_branches(joint, readout)
+    p, branches = steered_branches(joint, readout)
+    return [(q, u / q if q > qmat.tolerance() else None) for q, u in zip(p, branches)]
 
 
 def test_kraus_validation():
@@ -263,7 +267,7 @@ def test_bell_measurement_frequencies_on_steering_state():
     phi1 = steering_states(config)[0]
     joint = BipartiteState(qmat.projector(np.kron(phi1, singlet_vector())), (4, 2))
     m = ProjectiveMeasurement(tuple(qmat.projector(v) for v in bell_basis()))
-    weights = np.array([p for p, _ in steered_branches(joint, m)])
+    weights = steered_branches(joint, m)[0]
     assert np.allclose(weights, 0.25, atol=1e-12)
     rng = np.random.default_rng(0)
     counts = np.zeros(4)

@@ -94,6 +94,9 @@ def test_schmidt_decomposition_needs_one_row_per_coefficient():
     # a basis given as one flat vector is malformed input, not an IndexError
     with pytest.raises(ValueError, match="expected a nonempty matrix"):
         SchmidtDecomposition([1.0], [1, 0], [1, 0])
+    # NaN passes "fail if the sum is off"; the sum check passes only a finite sum
+    with pytest.raises(ValueError, match="squared coefficients sum to nan, not 1"):
+        SchmidtDecomposition([1.0, np.nan], np.eye(2), np.eye(2))
 
 
 def test_purify_pure_state_is_product():
@@ -377,6 +380,8 @@ def test_ensemble_validation():
         Ensemble(np.array([0.5, 0.4]), (np.eye(2, dtype=complex) / 2,) * 2)
     with pytest.raises(ValueError):
         Ensemble(np.array([]), ())
+    with pytest.raises(ValueError, match="probabilities sum to nan, not 1"):
+        Ensemble([np.nan, np.nan], (qmat.projector([1, 0]), qmat.projector([0, 1])))
     ens = Ensemble.from_pure_states([0.5, 0.5], [[1, 0], [0, 1]])
     assert np.allclose(ens.average(), np.eye(2) / 2, atol=1e-12)
 
@@ -453,11 +458,13 @@ def test_stacked_steering_and_average_match_the_per_member_loops_bit_for_bit():
     for d in (2, 3, 4):
         state = BipartiteState(rand_density(rng, d * d), (d, d))
         measurement = GeneralizedMeasurement((*rand_povm(rng, d, 3), np.zeros((d, d))))  # the last branch never fires
-        got = steered_branches(state, measurement)
+        p, branches = steered_branches(state, measurement)
         want = steered_branches_by_effect(measurement.effects, state.rho, (d, d))
-        assert [p for p, _ in got] == [p for p, _ in want] and got[-1] == (0.0, None)
-        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got[:-1], want[:-1]))
+        assert p.tolist() == [q for q, _ in want] and want[-1] == (0.0, None)
+        assert not branches[-1].any()
         ens = steer(state, measurement)
+        assert np.array_equal(ens.probabilities, p[:-1] / p[:-1].sum())
+        assert all(np.array_equal(a, b) for a, (_, b) in zip(ens.members, want[:-1], strict=True))
         assert np.array_equal(ens.average(), ensemble_average_by_member(ens.probabilities, ens.members))
 
 

@@ -64,8 +64,9 @@ def z_measurement():
 def steering_contrast(state: BipartiteState, measurement) -> float:
     """Largest Frobenius distance of any steered conditional from Bob's marginal."""
     marginal = state.marginal_b()
-    conditionals = [cond for _, cond in steered_branches(state, measurement) if cond is not None]
-    return max(qmat.frobenius_distance(cond, marginal) for cond in conditionals)
+    p, branches = steered_branches(state, measurement)
+    kept = p > qmat.tolerance()
+    return max(qmat.frobenius_distance(u / q, marginal) for q, u in zip(p[kept], branches[kept]))
 
 
 def test_scheme_requires_pure_members():
@@ -301,15 +302,13 @@ def test_steered_branches_match_kron_reference():
         da = state.dims[0]
         effects = [qmat.dagger(k) @ k for k in rand_channel(rng, da, 3)]
         effects.append(np.zeros((da, da)))  # a branch below tolerance keeps its index
-        branches = steered_branches(state, GeneralizedMeasurement(tuple(effects)))
-        assert len(branches) == len(effects)
-        for e, (p, cond) in zip(effects, branches):
+        p, branches = steered_branches(state, GeneralizedMeasurement(tuple(effects)))
+        assert len(p) == len(branches) == len(effects)
+        for e, q, u in zip(effects, p, branches):
             unnormalized = marginal_b_after_by_loops(e, state.rho, state.dims[1])
-            assert abs(p - np.trace(unnormalized).real) < 1e-12
-            if cond is None:
-                assert p <= qmat.tolerance()
-            else:
-                assert np.max(np.abs(cond - unnormalized / p)) < 1e-12
+            assert abs(q - np.trace(unnormalized).real) < 1e-12
+            assert np.max(np.abs(u - unnormalized)) < 1e-12
+        assert p[-1] == 0.0 and not branches[-1].any()
 
 
 def test_no_signaling_rejects_selective_channel():
