@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qmat
-from .channels import KrausChannel, _kraus_totals, _trace_preserving
+from .channels import _TRACE_PRESERVING, KrausChannel, _kraus_totals
 from .qmat import DimensionMismatchError, dagger
 
 
@@ -116,12 +116,11 @@ def broadcast_check(channel: KrausChannel, rho) -> BroadcastCheck:
     tolerance; deviation is the larger Frobenius distance of the two marginals
     from the input. `rho` is validated as `apply_nonselective` validates it.
     """
-    t = qmat.tolerance()
-    deviation = float(_broadcast_deviations(channel.kraus_ops, qmat._operands(rho, stack=False), t))
-    return BroadcastCheck(deviation <= t, deviation)
+    deviation = float(_broadcast_deviations(channel.kraus_ops, qmat._operands(rho, stack=False)))
+    return BroadcastCheck(deviation <= qmat.tolerance(), deviation)
 
 
-def _broadcast_deviations(ks: np.ndarray, rho: np.ndarray, t: float) -> np.ndarray:
+def _broadcast_deviations(ks: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """`broadcast_check`'s deviations: Kraus sets (..., n, d^2, d) on states (..., d, d), leading axes broadcast.
 
     Each check runs once on the whole stack and names the first failing member: finite and
@@ -133,11 +132,11 @@ def _broadcast_deviations(ks: np.ndarray, rho: np.ndarray, t: float) -> np.ndarr
             f"broadcast channel must map dim {d} to dim {d * d}, got {d} -> {ks.shape[-2]}"
         )
     rows = ks.reshape(ks.shape[:-3] + (-1, d))  # each set's operators one under another
-    totals = _kraus_totals(qmat._require_members(rows, t, qmat._finite), t)
-    rho = qmat._require_densities(rho, t)
+    totals = _kraus_totals(qmat._require_members(rows, qmat._finite))
+    rho = qmat._require_densities(rho)
     if rho.shape[-1] != d:
         raise DimensionMismatchError(f"state dim {rho.shape[-1]} does not match channel input dim {d}")
-    qmat._require_members(totals, t, _trace_preserving)
+    qmat._require_members(totals, _TRACE_PRESERVING)
     out = (ks @ rho[..., None, :, :] @ dagger(ks)).sum(axis=-3)
     dev_a = qmat._frobenius_norms(qmat.partial_trace(out, (d, d), "A") - rho)
     dev_b = qmat._frobenius_norms(qmat.partial_trace(out, (d, d), "B") - rho)
@@ -156,22 +155,12 @@ class CloneRefusal:
     overlap_squared: float
 
 
-def _complete_orthonormal(seed_vectors: list[np.ndarray], dim: int) -> np.ndarray:
-    """Orthonormal basis (columns) whose leading columns are the given vectors."""
-    cols = [v / np.linalg.norm(v) for v in seed_vectors]
-    for k in range(dim):
-        cand = np.zeros(dim, dtype=complex)
-        cand[k] = 1.0
-        for c in cols:
-            cand = cand - np.vdot(c, cand) * c
-        norm = float(np.linalg.norm(cand))
-        if norm > 1e-7:
-            cols.append(cand / norm)
-        if len(cols) == dim:
-            break
-    if len(cols) != dim:
-        raise RuntimeError("failed to complete an orthonormal basis")
-    return np.array(cols).T
+def _complete_orthonormal(seeds: list[np.ndarray]) -> np.ndarray:
+    """Orthonormal basis (columns) whose leading columns are the given orthogonal vectors, normalized."""
+    cols = np.array([v / np.linalg.norm(v) for v in seeds]).T
+    basis = np.linalg.qr(cols, mode="complete")[0]
+    basis[:, : cols.shape[1]] = cols  # QR's leading columns span the seeds, but only up to phases
+    return basis
 
 
 def clone_orthogonal_pair(psi, phi):
@@ -200,6 +189,6 @@ def clone_orthogonal_pair(psi, phi):
     if overlap <= t:
         sources.append(np.kron(phi, ready))
         targets.append(np.kron(phi, phi))
-    s_basis = _complete_orthonormal(sources, d * d)
-    t_basis = _complete_orthonormal(targets, d * d)
+    s_basis = _complete_orthonormal(sources)
+    t_basis = _complete_orthonormal(targets)
     return t_basis @ dagger(s_basis)

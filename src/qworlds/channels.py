@@ -34,7 +34,7 @@ class KrausChannel:
         )
         object.__setattr__(self, "kraus_ops", ops)
         rows = ops.reshape(-1, ops.shape[2])  # one under another, a view
-        object.__setattr__(self, "_total", qmat._readonly(_kraus_totals(rows, qmat.tolerance())))
+        object.__setattr__(self, "_total", qmat._readonly(_kraus_totals(rows)))
 
     @property
     def d_in(self) -> int:
@@ -45,7 +45,7 @@ class KrausChannel:
         return self.kraus_ops.shape[1]
 
     def is_trace_preserving(self) -> bool:
-        return bool(_trace_preserving(self._total, qmat.tolerance())[0])
+        return bool(_TRACE_PRESERVING(self._total, qmat.tolerance())[0])
 
 
 def _subnormalized(s: np.ndarray, t: float):
@@ -55,25 +55,22 @@ def _subnormalized(s: np.ndarray, t: float):
     )
 
 
-def _kraus_totals(rows: np.ndarray, t: float) -> np.ndarray:
+def _kraus_totals(rows: np.ndarray) -> np.ndarray:
     """Sum of K^dag K for Kraus operators stacked as rows, after the super-normalization check.
 
     `rows` is (n d_out, d_in), the Kraus operators one under another, or a
     stack of such sets along the leading axes; rows of zeros add nothing.
     """
-    return qmat._require_members(dagger(rows) @ rows, t, _subnormalized)
+    return qmat._require_members(dagger(rows) @ rows, _subnormalized)
 
 
-def _trace_preserving(totals: np.ndarray, t: float):
-    """Check that each sum of K^dag K is the identity within τ times the input dim."""
-    d = totals.shape[-1]
-    ok = np.linalg.norm(totals - np.eye(d), axis=(-2, -1)) <= t * d
-    return ok, lambda k: ValueError("channel is not trace preserving (selective operation)")
+# each sum of K^dag K is the identity within τ times the input dim
+_TRACE_PRESERVING = qmat._near_identity("channel is not trace preserving (selective operation)")
 
 
-def _projectivity_defect(effects: np.ndarray, t: float) -> str | None:
-    """Message naming the first non-idempotent effect or non-orthogonal pair, or None."""
-    dim = effects[0].shape[0]
+def _projectivity_defect(effects: np.ndarray) -> str | None:
+    """Message naming the first non-idempotent effect or non-orthogonal pair at τ, or None."""
+    t, dim = qmat.tolerance(), effects[0].shape[0]
     for i, e in enumerate(effects):
         if qmat.frobenius_distance(e @ e, e) > t * dim:
             return f"projector {i} is not idempotent"
@@ -99,9 +96,7 @@ class GeneralizedMeasurement:
             self.effects, "a measurement needs at least one effect",
             "effects must share one dimension", qmat._hermitian, qmat._positive("effect"),
         )
-        dim = es.shape[1]
-        if qmat.frobenius_distance(es.sum(axis=0), np.eye(dim)) > qmat.tolerance() * dim:
-            raise ValueError("effects do not sum to the identity")
+        qmat._require_members(es.sum(axis=0), qmat._near_identity("effects do not sum to the identity"))
         object.__setattr__(self, "effects", es)
 
     @property
@@ -114,7 +109,7 @@ class ProjectiveMeasurement(GeneralizedMeasurement):
 
     def __post_init__(self):
         super().__post_init__()
-        defect = _projectivity_defect(self.effects, qmat.tolerance())
+        defect = _projectivity_defect(self.effects)
         if defect is not None:
             raise ValueError(defect)
 
@@ -155,7 +150,7 @@ def apply_nonselective(channel: KrausChannel, rho) -> np.ndarray:
         raise DimensionMismatchError(
             f"state dim {rho.shape[0]} does not match channel input dim {channel.d_in}"
         )
-    qmat._require_members(channel._total, qmat.tolerance(), _trace_preserving)
+    qmat._require_members(channel._total, _TRACE_PRESERVING)
     ks = channel.kraus_ops
     return (ks @ rho @ dagger(ks)).sum(axis=0)
 

@@ -241,7 +241,7 @@ def _run_broadcast(req: ScenarioRequest, world: World) -> tuple[dict, dict]:
     # a diagonal pair, then |+><+|
     states = np.array([np.diag([p, 1 - p]), np.diag([0.5, 0.5]), [[0.5, 0.5], [0.5, 0.5]]], dtype=complex)
     kraus = _broadcaster_kraus(np.eye(2, dtype=complex))  # the computational basis, orthonormal as written
-    *commuting, off_diag = _broadcast_deviations(kraus, states, t).tolist()
+    *commuting, off_diag = _broadcast_deviations(kraus, states).tolist()
     refusal = clone_orthogonal_pair(
         np.array([1, 0], dtype=complex),
         np.array([1, 1], dtype=complex) / np.sqrt(2),

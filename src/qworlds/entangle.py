@@ -247,10 +247,10 @@ def _pure_vectors(rho: np.ndarray) -> np.ndarray:
     return v[..., 0]
 
 
-def _require_average(target: Ensemble, marginal_b: np.ndarray, t: float, mismatch: str) -> None:
+def _require_average(target: Ensemble, marginal_b: np.ndarray, mismatch: str) -> None:
     """Raise AverageMismatchError, as "<mismatch> by <gap>", unless the target averages to marginal_b."""
     gap = qmat.frobenius_distance(target.average(), marginal_b)
-    if gap > max(t, 1e-7):
+    if gap > max(qmat.tolerance(), 1e-7):
         raise AverageMismatchError(f"{mismatch} by {gap}")
 
 
@@ -281,7 +281,7 @@ def hjw_steering_measurement(
             f"target members have dim {target.dim}, steered side has dim {db}"
         )
     marginal_b = qmat.partial_trace(qmat.projector(psi), (da, db), "B")
-    _require_average(target, marginal_b, t, "target ensemble average deviates from the B marginal")
+    _require_average(target, marginal_b, "target ensemble average deviates from the B marginal")
     dec = schmidt(psi, (da, db))
     vectors = _pure_vectors(target.members)
     overlaps = vectors @ dec.b_basis.conj().T  # [i, k] = <b_k|t_i>

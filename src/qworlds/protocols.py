@@ -17,7 +17,7 @@ import numpy as np
 
 from . import qmat
 from .algebra import BlockAlgebra, is_commutative
-from .channels import GeneralizedMeasurement, KrausChannel, _trace_preserving
+from .channels import GeneralizedMeasurement, KrausChannel
 from .entangle import (
     BipartiteState,
     Ensemble,
@@ -206,7 +206,7 @@ def run_commitment(scheme: CommitmentScheme, strategy, world, rng_seed: int) -> 
         separated = world.separate(attack.pair)
         target = scheme.ensemble(bit)  # raises on a bit outside {0, 1} before it indexes the measurements
         _require_average(
-            target, separated.marginal_b(), t, "world transformation moved Bob's marginal off the target average"
+            target, separated.marginal_b(), "world transformation moved Bob's marginal off the target average"
         )
         # outcome j has probability p_j = tr U_j, and Bob accepts it with tr(T_j U_j) / tr U_j
         p, branches = steered_branches(separated, attack.measurements[bit])
@@ -312,23 +312,19 @@ def no_signaling_trial(state: BipartiteState, local_op: KrausChannel) -> float:
             f"local channel must act on dim {da}, got {local_op.d_in} -> {local_op.d_out}"
         )
     rows = local_op.kraus_ops.reshape(-1, da)
-    return float(_marginal_shifts(state.rho, state.dims, rows, local_op._total, qmat.tolerance()))
+    return float(_marginal_shifts(state.rho, state.dims, rows, local_op._total))
 
 
-def _nonselective(totals: np.ndarray, t: float):
-    return _trace_preserving(totals, t)[0], lambda k: ValueError(
-        "selective channel rejected: no-signaling holds for nonselective operations"
-    )
-
-
-def _marginal_shifts(rho, dims: tuple[int, int], kraus_rows, totals, t: float) -> np.ndarray:
+def _marginal_shifts(rho, dims: tuple[int, int], kraus_rows, totals) -> np.ndarray:
     """`no_signaling_trial` over the last two axes, once the channels act on side A.
 
     Each channel is given as its Kraus operators one under another (rows of
     zeros add nothing) and its sum of K^dag K, as `channels._kraus_totals`
     returns it; leading axes of the three arrays broadcast.
     """
-    qmat._require_members(totals, t, _nonselective)
+    qmat._require_members(
+        totals, qmat._near_identity("selective channel rejected: no-signaling holds for nonselective operations")
+    )
     before = qmat.partial_trace(rho, dims, "B")
     # the Kraus operators stacked into one isometry: tracing out its output
     # sums Tr_A[(K x I) rho (K x I)^dagger] over every K

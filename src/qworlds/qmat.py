@@ -9,9 +9,11 @@ and `eigh`, and the check `require_orthonormal_rows`, also take a stack of
 operators: they work over the last two axes, and a 2-D operator is a stack
 of one. The public validators (`as_complex_matrix`, `require_hermitian`,
 `require_density`) take one 2-D matrix. Every check is written once, over
-the last two axes, and the single-matrix validators run that same check on
-their one matrix; a stack that fails raises the single-matrix message
-prefixed with "stack member k:", k the index of the first failing member.
+the last two axes, and run by the one runner `_require_members`, which
+reads τ, on a stack or on a validator's one matrix; a failing stack raises
+the single-matrix message prefixed with "stack member k:", k the index of
+its first failing member. `_near_identity` is the one identity test
+(within τ·dim): orthonormal rows, trace preservation, POVM completeness.
 
 Ensemble members, POVM effects and Kraus operators are each held as one
 read-only (n, rows, cols) stack, built and checked once by `_member_stack`.
@@ -94,17 +96,18 @@ def _operands(entries, stack: bool) -> np.ndarray:
     return m
 
 
-def _require_members(m: np.ndarray, t: float, *checks) -> np.ndarray:
-    """Return `m`, a matrix or a stack of matrices, if every member passes every check.
+def _require_members(m: np.ndarray, *checks) -> np.ndarray:
+    """The one check runner: `m`, a matrix or a stack of matrices, if every member passes every check.
 
-    A check maps `s`, one matrix or a stack of shape (n, r, c), and τ to
-    whether each member passes it (a scalar for one matrix) and a function
-    giving, for member k (`()` for one matrix), the failure as an exception
-    with the single-matrix message. Each member meets the checks in order and
-    only while it passes, so a stack fails where a loop over its members
-    would fail first. For a stack the message names the member.
+    The runner reads τ. A check maps `s`, one matrix or a stack of shape
+    (n, r, c), and τ to whether each member passes it (a scalar for one
+    matrix) and a function giving, for member k (`()` for one matrix), the
+    failure as an exception with the single-matrix message. Each member meets
+    the checks in order and only while it passes, so a stack fails where a
+    loop over its members would fail first. For a stack the message names it.
     """
     s = m if m.ndim <= 3 else m.reshape((-1,) + m.shape[-2:])
+    t = tolerance()
     single = s.ndim == 2
     first, failure = None, None
     for check in checks:
@@ -212,7 +215,7 @@ _DENSITY = (_hermitian, _unit_trace, _positive("density operator"))
 
 def as_complex_matrix(entries) -> np.ndarray:
     """Coerce to a 2-D complex matrix, rejecting non-finite entries."""
-    return _require_members(_operands(entries, stack=False), 0.0, _finite)
+    return _require_members(_operands(entries, stack=False), _finite)
 
 
 def as_unit_vector(amplitudes) -> np.ndarray:
@@ -234,31 +237,31 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def require_hermitian(m) -> np.ndarray:
-    return _require_members(_operands(m, stack=False), tolerance(), _hermitian)
+    return _require_members(_operands(m, stack=False), _hermitian)
 
 
 def require_density(rho) -> np.ndarray:
     """Validate a density operator: Hermitian, PSD, and unit trace within tolerance."""
-    return _require_members(_operands(rho, stack=False), tolerance(), *_DENSITY)
+    return _require_members(_operands(rho, stack=False), *_DENSITY)
 
 
-def _require_densities(rho, t: float) -> np.ndarray:
+def _require_densities(rho) -> np.ndarray:
     """`require_density` for a stack of density operators along the leading axes."""
-    return _require_members(_operands(rho, stack=True), t, *_DENSITY)
+    return _require_members(_operands(rho, stack=True), *_DENSITY)
 
 
 def _member_stack(members, empty: str, mismatch: str, *checks) -> np.ndarray:
     """Read-only (n, r, c) copy of a collection of matrices, with shapes checked first.
 
     No member raises `ValueError(empty)` and mixed shapes `DimensionMismatchError(mismatch)`;
-    then one `_require_members` call at τ runs the checks on the whole stack.
+    then one `_require_members` call runs the checks on the whole stack.
     """
     ms = [_operands(m, stack=False) for m in members]
     if not ms:
         raise ValueError(empty)
     if any(m.shape != ms[0].shape for m in ms):
         raise DimensionMismatchError(mismatch)
-    return _readonly(_require_members(np.stack(ms), tolerance(), *checks))
+    return _readonly(_require_members(np.stack(ms), *checks))
 
 
 def projector(v) -> np.ndarray:
@@ -287,7 +290,7 @@ def partial_trace(m, dims: tuple[int, int], keep) -> np.ndarray:
     subsystem, "A" or "B". The total trace is preserved. Over the last two
     axes: a stack of operators gives the stack of their partial traces.
     """
-    m = _require_members(_operands(m, stack=True), 0.0, _finite)
+    m = _require_members(_operands(m, stack=True), _finite)
     da, db = int(dims[0]), int(dims[1])
     if m.shape[-2:] != (da * db, da * db):
         raise DimensionMismatchError(
@@ -345,7 +348,7 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
     of each eigenvector real and nonnegative. Over the last two axes, with
     the Hermiticity check of `require_hermitian` for each member.
     """
-    return _eigh(_require_members(_operands(h, stack=True), tolerance(), _hermitian))
+    return _eigh(_require_members(_operands(h, stack=True), _hermitian))
 
 
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -396,24 +399,24 @@ def fidelity_to_vector(v, rho) -> float:
     return float(np.real(np.conj(v) @ np.asarray(rho, dtype=complex) @ v))
 
 
-def _orthonormal(name: str):
-    """Check that the rows of each member are orthonormal within τ times their count."""
+def _near_identity(message: str):
+    """Check that each member is the identity within τ times its dim: the one identity test, failing as `message`."""
 
     def check(s: np.ndarray, t: float):
-        n = s.shape[-2]
-        gram = np.conj(s) @ s.swapaxes(-1, -2)
-        dev = np.linalg.norm(gram - np.eye(n), axis=(-2, -1))
-        return dev <= t * n, lambda k: ValueError(f"{name} rows are not orthonormal")
+        n = s.shape[-1]
+        return np.linalg.norm(s - np.eye(n), axis=(-2, -1)) <= t * n, lambda k: ValueError(message)
 
     return check
 
 
 def require_orthonormal_rows(basis, name: str = "basis") -> np.ndarray:
-    """Coerce to a complex array whose rows are orthonormal within tolerance.
+    """Coerce to a complex array whose rows are orthonormal within tolerance: whose Gram matrix is near the identity.
 
     Over the last two axes: each member of a stack of bases is checked.
     """
-    return _require_members(_operands(basis, stack=True), tolerance(), _orthonormal(name))
+    b = _operands(basis, stack=True)
+    _require_members(np.conj(b) @ b.swapaxes(-1, -2), _near_identity(f"{name} rows are not orthonormal"))
+    return b
 
 
 def require_orthonormal_basis(basis) -> np.ndarray:
@@ -425,9 +428,12 @@ def require_orthonormal_basis(basis) -> np.ndarray:
 
 
 def sample_index(weights, rng: np.random.Generator) -> int:
-    """Index drawn with probability proportional to `weights`, from one `rng.random()`."""
+    """Index drawn from one `rng.random()`, with probability ∝ `weights`: finite, each ≥ -τ, of positive sum."""
     weights = np.asarray(weights, dtype=float)
-    draw = rng.random() * weights.sum()
+    total = weights.sum()
+    if not (0.0 < total < np.inf and weights.min() >= -tolerance()):  # a pass-test, so that NaN fails it
+        raise ValueError(f"weights must be finite, at least -τ and of positive sum, got {weights.tolist()}")
+    draw = rng.random() * total
     index = int(np.searchsorted(np.cumsum(weights), draw, side="right"))
     return min(index, weights.size - 1)
 

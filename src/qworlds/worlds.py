@@ -188,7 +188,6 @@ def _signaling_battery(world: World, rng: np.random.Generator) -> tuple[bool, di
     output density, Kraus normalization, trace preservation) runs once on
     the whole stack.
     """
-    t = qmat.tolerance()
     max_dist = 0.0
     trials = 0
     for dims in ((2, 2), (2, 3)):
@@ -197,12 +196,12 @@ def _signaling_battery(world: World, rng: np.random.Generator) -> tuple[bool, di
         for _ in range(10):
             states.append(_ginibre(rng, d, d))
             blocks.append(_ginibre(rng, da * int(rng.integers(1, 4)), da))
-        rho = qmat._require_densities(_normalized_gram(np.stack(states)), t)
+        rho = qmat._require_densities(_normalized_gram(np.stack(states)))
         separated = world._separated(rho, dims)
         if separated is not rho:
-            qmat._require_densities(separated, t)
+            qmat._require_densities(separated)
         kraus_rows = _isometry_rows(blocks, 3 * da)
-        shifts = _marginal_shifts(separated, dims, kraus_rows, _kraus_totals(kraus_rows, t), t)
+        shifts = _marginal_shifts(separated, dims, kraus_rows, _kraus_totals(kraus_rows))
         max_dist = max(max_dist, float(shifts.max()))
         trials += len(shifts)
     witness = {"trials": trials, "max_marginal_distance": max_dist, "dims": [[2, 2], [2, 3]]}
@@ -238,7 +237,7 @@ def _broadcasting_battery(world: World, rng: np.random.Generator) -> tuple[bool,
         commuting = u[:, None] @ (np.stack(weights)[..., None, :] * np.eye(d)) @ dagger(u)[:, None]
         states = np.concatenate((commuting, noncommuting))
     kraus = _broadcaster_kraus(qmat.require_orthonormal_rows(bases))
-    dev = _broadcast_deviations(kraus[:, None], states, t)  # (basis, state)
+    dev = _broadcast_deviations(kraus[:, None], states)  # (basis, state)
     possible = bool((dev <= t).all())
     if world.kind == "classical":
         family = "diagonal (all commuting)"

@@ -210,14 +210,21 @@ def test_noncommuting_pairs_defeat_the_broadcaster():
 
 
 def test_clone_orthogonal_pair_builds_exact_cloner():
-    psi = np.array([1, 0], dtype=complex)
-    phi = np.array([0, 1], dtype=complex)
-    u = clone_orthogonal_pair(psi, phi)
-    assert isinstance(u, np.ndarray)
-    assert np.allclose(np.conj(u).T @ u, np.eye(4), atol=1e-12)
-    ready = np.array([1, 0], dtype=complex)
-    assert np.allclose(u @ np.kron(psi, ready), np.kron(psi, psi), atol=1e-12)
-    assert np.allclose(u @ np.kron(phi, ready), np.kron(phi, phi), atol=1e-12)
+    rng = np.random.default_rng(83)
+    pairs = [(np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex))]
+    pairs += [tuple(rand_unitary(rng, d)[:2]) for d in (2, 3, 4)]  # random orthogonal pairs
+    same = rand_pure(rng, 3)
+    pairs.append((same, same.copy()))  # an identical pair
+    phi = np.append(rand_pure(rng, 2), 0.0)
+    pairs.append((np.array([0, 0, 1], dtype=complex), phi))  # psi x ready is a computational basis vector
+    for psi, phi in pairs:
+        d = psi.size
+        u = clone_orthogonal_pair(psi, phi)
+        assert isinstance(u, np.ndarray) and u.shape == (d * d, d * d)
+        assert np.abs(np.conj(u).T @ u - np.eye(d * d)).max() <= 1e-12
+        ready = np.eye(d)[0]
+        for v in (psi, phi):
+            assert np.abs(u @ np.kron(v, ready) - np.kron(v, v)).max() <= 1e-12
 
 
 def test_clone_refusal_carries_invariance_witness():
@@ -269,13 +276,12 @@ def _stack_failure_matches_single(single_call, stacked_call, k):
 
 def test_stacked_broadcast_checks_name_the_bad_member_with_the_single_matrix_message():
     rng = np.random.default_rng(59)
-    t = qmat.tolerance()
     channel = classical_broadcaster(np.eye(2, dtype=complex))
     states = np.stack([rand_density(rng, 2) for _ in range(5)])
     states[3] = np.diag([1.5, -0.5])
     _stack_failure_matches_single(
         lambda: broadcast_check(channel, states[3]),
-        lambda: algebra._broadcast_deviations(channel.kraus_ops, states, t),
+        lambda: algebra._broadcast_deviations(channel.kraus_ops, states),
         3,
     )
     # the bases are checked as one stack before their Kraus sets are built
@@ -295,7 +301,7 @@ def test_stacked_broadcast_checks_name_the_bad_member_with_the_single_matrix_mes
         off = kraus.copy()
         off[k] *= scale  # super-normalized above 1, not trace preserving below
         _stack_failure_matches_single(
-            lambda: single(off[k]), lambda: algebra._broadcast_deviations(off, good, t), k
+            lambda: single(off[k]), lambda: algebra._broadcast_deviations(off, good), k
         )
 
 
@@ -310,7 +316,7 @@ def test_stacked_broadcast_deviations_equal_the_per_state_checks_bit_for_bit():
     for d in (2, 3, 4):
         bases = np.stack([rand_unitary(rng, d).T for _ in range(6)])
         states = np.stack([[rand_density(rng, d) for _ in range(3)] for _ in range(6)])
-        dev = algebra._broadcast_deviations(algebra._broadcaster_kraus(bases)[:, None], states, qmat.tolerance())
+        dev = algebra._broadcast_deviations(algebra._broadcaster_kraus(bases)[:, None], states)
         assert dev.shape == (6, 3)
         expected = [[broadcast_check(classical_broadcaster(b), rho).deviation for rho in row]
                     for b, row in zip(bases, states)]

@@ -409,9 +409,9 @@ def test_purify_and_pure_state_extraction_check_their_input_once(monkeypatch):
     checks = []
     require_members = qmat._require_members
 
-    def counted(m, t, *args):
+    def counted(m, *args):
         checks.append(m.shape)
-        return require_members(m, t, *args)
+        return require_members(m, *args)
 
     monkeypatch.setattr(qmat, "_require_members", counted)
     purify(rand_density(rng, 3), 3)

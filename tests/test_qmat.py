@@ -1,4 +1,5 @@
 import inspect
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -219,13 +220,34 @@ def test_sample_index_draws_by_weight_from_one_random_number():
         assert qmat.sample_index(weights, SimpleNamespace(random=lambda: u)) == index
 
 
+@pytest.mark.parametrize("weights", [[np.nan, 1.0], [-1.0, 2.0], [0.0, 0.0], [np.inf, 1.0], [1.0, -np.inf], []])
+def test_sample_index_rejects_weights_that_are_not_a_distribution(weights):
+    with pytest.raises(ValueError, match=r"^weights must be finite, at least -τ and of positive sum, got \["):
+        qmat.sample_index(weights, np.random.default_rng(0))
+    # a weight within τ below zero is roundoff, and draws as a zero weight
+    assert qmat.sample_index([-0.5 * qmat.tolerance(), 1.0], np.random.default_rng(0)) == 1
+
+
+# the (s, t) checks that the runner `qmat._require_members` passes τ to, and the certificate `_positive` calls
+_CHECKS_GIVEN_TAU = {"_finite", "_hermitian", "_unit_trace", "_cholesky_certifies", "_subnormalized"}
+
+
 def test_no_library_function_takes_a_per_call_tolerance():
     # τ is one process-wide value: every check of a run compares against qmat.tolerance()
     assert not hasattr(qmat, "_tol")
     checked = []
     for module in (qmat, algebra, channels, entangle, protocols, worlds):
         for name, obj in vars(module).items():
-            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if name.startswith("_"):  # private functions too, but for the checks the runner passes τ to
+                if inspect.isfunction(obj):
+                    params = list(inspect.signature(obj).parameters)
+                    if name in _CHECKS_GIVEN_TAU:
+                        assert params == ["s", "t"], f"{module.__name__}.{name}"
+                    else:
+                        assert not {"t", "tol"} & set(params), f"{module.__name__}.{name}"
+                    checked.append(name)
                 continue
             members = [(name, obj)] if inspect.isfunction(obj) else []
             if inspect.isclass(obj):  # its own public methods; inherited ones are checked on their class
@@ -238,6 +260,36 @@ def test_no_library_function_takes_a_per_call_tolerance():
                 assert "tol" not in inspect.signature(fn).parameters, f"{module.__name__}.{qualname}"
                 checked.append(qualname)
     assert {"require_density", "KrausChannel.is_trace_preserving", "teleport", "no_signaling_trial"} <= set(checked)
+    assert _CHECKS_GIVEN_TAU <= set(checked)
+    assert {"_require_members", "_kraus_totals", "_marginal_shifts", "_require_average"} <= set(checked)
+
+
+def _off_identity(delta: float) -> np.ndarray:
+    """K = diag(sqrt(1 - δ), 1, 1): K^dag K and the Gram matrix of K's rows lie δ (Frobenius) from the identity."""
+    return np.diag([np.sqrt(1.0 - delta), 1.0, 1.0]).astype(complex)
+
+
+# each user of the identity test `qmat._near_identity`, by the message it raises, run on a 3x3 K
+_NEAR_IDENTITY_USERS = {
+    "basis rows are not orthonormal": qmat.require_orthonormal_rows,
+    "channel is not trace preserving (selective operation)": lambda k: channels.apply_nonselective(
+        channels.KrausChannel([k]), np.eye(3) / 3
+    ),
+    "selective channel rejected: no-signaling holds for nonselective operations": lambda k: (
+        protocols.no_signaling_trial(entangle.BipartiteState(np.eye(6) / 6, (3, 2)), channels.KrausChannel([k]))
+    ),
+    "effects do not sum to the identity": lambda k: channels.GeneralizedMeasurement([qmat.dagger(k) @ k]),
+}
+
+
+@pytest.mark.parametrize("message", list(_NEAR_IDENTITY_USERS))
+@pytest.mark.parametrize("t", [qmat.DEFAULT_TOL, 1e-4])
+def test_each_identity_check_passes_within_tau_times_dim_and_words_its_failure(message, t):
+    run = _NEAR_IDENTITY_USERS[message]
+    with scoped_tolerance(t):
+        run(_off_identity(0.5 * t * 3))  # half the edge τ·dim passes
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(_off_identity(2.0 * t * 3))  # twice the edge raises
 
 
 def _rand_op(rng, rows, cols):
@@ -318,7 +370,7 @@ def test_stacked_density_check_names_the_bad_member_with_the_single_matrix_messa
     with pytest.raises(ValueError) as single:
         qmat.require_density(bad)
     with pytest.raises(type(single.value)) as stacked:
-        qmat._require_densities(stack, qmat.tolerance())
+        qmat._require_densities(stack)
     assert str(stacked.value) == f"stack member {position}: {single.value}"
 
 
@@ -329,11 +381,11 @@ def test_stacked_density_check_fails_where_a_loop_over_the_members_fails_first()
     # member 2 fails a late check (PSD), member 5 an early one (finiteness)
     stack[2], stack[5] = bad["negative"], bad["nan"]
     with pytest.raises(ValueError, match=r"^stack member 2: density operator has negative eigenvalue"):
-        qmat._require_densities(stack, qmat.tolerance())
+        qmat._require_densities(stack)
     # the public validator keeps its 2-D contract
     with pytest.raises(ValueError, match="expected a nonempty 2-D matrix"):
         qmat.require_density(stack)
-    qmat._require_densities(np.delete(stack, [2, 5], axis=0), qmat.tolerance())
+    qmat._require_densities(np.delete(stack, [2, 5], axis=0))
 
 
 # -- positivity: the Cholesky certificate and its eigvalsh fallback
@@ -413,9 +465,7 @@ def test_positivity_verdicts_match_the_eigenvalue_rule_near_minus_tau(n, t, cert
         for rho in densities:
             _assert_positivity_verdict(lambda: qmat.require_density(rho), rho, t, "density operator")
         for stack in (densities, densities[dense_ok], np.asfortranarray(densities)):
-            _assert_positivity_verdict(
-                lambda: qmat._require_densities(stack, t), stack, t, "density operator"
-            )
+            _assert_positivity_verdict(lambda: qmat._require_densities(stack), stack, t, "density operator")
         for stack in (effects, effects[effect_ok]):
             povm = np.concatenate([stack, [np.eye(n) - stack.sum(axis=0)]])
             _assert_positivity_verdict(lambda: channels.GeneralizedMeasurement(povm), povm, t, "effect")
@@ -432,7 +482,7 @@ def test_positivity_failure_at_16x16_names_the_first_negative_member_with_its_ei
         w[0] = -1e-3
         stack[k] = _with_spectrum(rng, w / w.sum())
     run = {
-        "density operator": lambda: qmat._require_densities(stack, qmat.tolerance()),
+        "density operator": lambda: qmat._require_densities(stack),
         "effect": lambda: channels.GeneralizedMeasurement(stack),
     }[name]
     with pytest.raises(ValueError) as failure:
@@ -448,7 +498,7 @@ def test_positivity_at_machine_epsilon_makes_no_cholesky_call(monkeypatch):
 
     def check():
         qmat.require_density(rho)
-        qmat._require_densities(np.stack([rho, rho]), qmat.tolerance())
+        qmat._require_densities(np.stack([rho, rho]))
         channels.GeneralizedMeasurement([rho] * 16)
 
     with scoped_tolerance(np.finfo(float).eps):
