@@ -156,10 +156,11 @@ class CloneRefusal:
 
 
 def _complete_orthonormal(seeds: list[np.ndarray]) -> np.ndarray:
-    """Orthonormal basis (columns) whose leading columns are the given orthogonal vectors, normalized."""
-    cols = np.array([v / np.linalg.norm(v) for v in seeds]).T
+    """Orthonormal basis (columns) whose leading columns are the given unit vectors, within their overlaps."""
+    cols = np.array(seeds).T
     basis = np.linalg.qr(cols, mode="complete")[0]
-    basis[:, : cols.shape[1]] = cols  # QR's leading columns span the seeds, but only up to phases
+    turn = np.einsum("ik,ik->k", np.conj(basis[:, : cols.shape[1]]), cols)  # QR fixes each column only up to phase
+    basis[:, : cols.shape[1]] *= turn / np.abs(turn)
     return basis
 
 

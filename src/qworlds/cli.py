@@ -46,7 +46,7 @@ from .entangle import (
     steer,
     teleport,
 )
-from .protocols import _BROADCAST_GAP, _FLAG_EDGE, REPORT_EDGE, commitment_round, concealment_check
+from .protocols import REPORT_EDGE, commitment_round, concealment_check
 from .worlds import _WORLD_KINDS, World, evaluate_constraints
 
 TOL_ENV_VAR = "QWORLDS_TOL"
@@ -58,6 +58,10 @@ EXIT_UNWRITABLE = 4
 EXIT_NUMERICAL = 5
 
 _MAX_SCORE = float(2.0 * np.sqrt(2.0))
+# edge of the closed-form flags: the default τ, fixed so every --tol judges them alike
+_FLAG_EDGE = 1e-9
+# least deviation that fails a broadcast: |+><+| misses by 1/sqrt(2), far above roundoff
+_BROADCAST_GAP = 1e-3
 
 
 class InvalidParameterError(ValueError):
@@ -379,6 +383,3 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_UNWRITABLE
     return 0 if report.all_flags_pass() else EXIT_FLAGS_FAILED
 
-
-if __name__ == "__main__":
-    sys.exit(main())

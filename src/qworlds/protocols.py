@@ -33,10 +33,6 @@ from .qmat import DimensionMismatchError
 # an EPR attack succeeds when its acceptance is 1 within this edge, and the
 # CLI's steer and teleport flags compare against it too
 REPORT_EDGE = 1e-10
-# edge of the CLI's closed-form flags: the default τ, fixed so every --tol judges them alike
-_FLAG_EDGE = 1e-9
-# least deviation that fails a broadcast: |+><+| misses by 1/sqrt(2), far above roundoff
-_BROADCAST_GAP = 1e-3
 
 
 class _EprAttack(NamedTuple):
@@ -167,8 +163,7 @@ class ConcealmentCheck(NamedTuple):
 
 def concealment_check(scheme: CommitmentScheme, world) -> ConcealmentCheck:
     """Compare Bob's pre-open density operators for the two bits in a world."""
-    omega_0 = world.transmit(scheme.ensemble_0.average())
-    omega_1 = world.transmit(scheme.ensemble_1.average())
+    omega_0, omega_1 = world.transmit(np.stack((scheme.ensemble_0.average(), scheme.ensemble_1.average())))
     distance = qmat.frobenius_distance(omega_0, omega_1)
     return ConcealmentCheck(distance <= qmat.tolerance() * scheme.dim, distance)
 
@@ -181,12 +176,14 @@ def run_commitment(scheme: CommitmentScheme, strategy, world, rng_seed: int) -> 
     projective test onto the claimed member. EprAttack(unveil_bit): Alice
     instead sends Bob half of a purification of the scheme average, and at
     opening measures her half with the steering measurement for the chosen
-    ensemble, revealing the observed index. The acceptance probability is the
-    exact Born value; `accept` is its seeded sample. For the attack it is
-    sum_j tr(T_j U_j) / sum_j tr U_j over Bob's unnormalized branches
-    U_j = Tr_A[(E_j x I) rho], read by `steered_branches`, the kernel `steer`
-    runs too, and the claimed members T_j, where a branch at or below τ, or
-    the complement effect, accepts nothing.
+    ensemble, revealing the observed index. Each strategy yields the claimed
+    members T_j, their weights p_j and Bob's unnormalized branches U_j, and
+    both are scored alike: the acceptance probability is the exact Born value
+    sum_j tr(T_j U_j) / sum_j tr U_j, where a branch of weight at or below τ,
+    or the attack's complement effect, accepts nothing, and `accept` is its
+    seeded sample. Honest: p_j is the ensemble's and U_j = p_j ω(T_j), ω being
+    `world.transmit`. Attack: U_j = Tr_A[(E_j x I) rho] and p_j = tr U_j, read
+    by `steered_branches`, the kernel `steer` runs too.
     """
     t = qmat.tolerance()
     if not scheme.is_concealing():
@@ -195,10 +192,9 @@ def run_commitment(scheme: CommitmentScheme, strategy, world, rng_seed: int) -> 
 
     if isinstance(strategy, Honest):
         bit = strategy.bit
-        ens = scheme.ensemble(bit)
-        index = qmat.sample_index(ens.probabilities, rng)
-        member = ens.members[index]
-        acceptance = fidelity = float(np.real(np.trace(member @ world.transmit(member))))
+        target = scheme.ensemble(bit)
+        p = target.probabilities
+        branches = p[:, None, None] * world.transmit(target.members)
         description = f"honest pure member on dim {scheme.dim}"
     elif isinstance(strategy, EprAttack):
         bit = strategy.unveil_bit
@@ -208,19 +204,19 @@ def run_commitment(scheme: CommitmentScheme, strategy, world, rng_seed: int) -> 
         _require_average(
             target, separated.marginal_b(), "world transformation moved Bob's marginal off the target average"
         )
-        # outcome j has probability p_j = tr U_j, and Bob accepts it with tr(T_j U_j) / tr U_j
         p, branches = steered_branches(separated, attack.measurements[bit])
-        n = len(target.members)  # a complement effect, if any, comes last and claims no member
-        hits = np.zeros_like(p)
-        hits[:n] = np.einsum("jab,jba->j", target.members, branches[:n]).real
-        hits[p <= t] = 0.0
-        probs = np.maximum(p, 0.0)
-        acceptance = float(hits.sum() / probs.sum())
-        index = qmat.sample_index(probs, rng)
-        fidelity = hits[index] / max(p[index], t)  # hits[index] is 0 unless p[index] > τ
         description = f"purification half on dim {scheme.dim} (EPR attack)"
     else:
         raise TypeError(f"unknown strategy {type(strategy).__name__}")
+    # outcome j has probability p_j, and Bob accepts it with tr(T_j U_j) / p_j
+    n = len(target.members)  # a complement effect, if any, comes last and claims no member
+    hits = np.zeros_like(p)
+    hits[:n] = np.einsum("jab,jba->j", target.members, branches[:n]).real
+    hits[p <= t] = 0.0
+    probs = np.maximum(p, 0.0)
+    acceptance = float(hits.sum() / probs.sum())
+    index = qmat.sample_index(probs, rng)
+    fidelity = hits[index] / max(p[index], t)  # hits[index] is 0 unless p[index] > τ
     return ProtocolTranscript(rng_seed, description, bit, index, bool(rng.random() < fidelity), acceptance)
 
 

@@ -96,14 +96,14 @@ class World:
         return _dephase(basis, rho, self._lambda)
 
     def transmit(self, rho: np.ndarray) -> np.ndarray:
-        """Transform a lone state handed from one party to the other.
+        """Transform a lone state, or a stack over the last two axes, handed from one party to the other.
 
         Separation dephasing erases phase relations *between* subsystems; a
         lone state has none (dephasing in its own eigenbasis fixes it), so the
         quantum and dephased worlds pass it through. The classical world
         dephases it as it does pairs: λ = 1 in the computational basis.
         """
-        rho = qmat.require_density(rho)
+        rho = qmat._require_densities(rho)
         return _dephase(None, rho, self._lambda) if self.kind == "classical" else rho
 
 

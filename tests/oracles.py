@@ -418,3 +418,18 @@ def epr_attack_by_branch(scheme, bit: int, world, rng_seed: int) -> tuple[int, b
     acceptance = float(np.dot(probs, fidelities) / probs.sum())
     index = qmat.sample_index(probs, rng)
     return index, bool(rng.random() < fidelities[index]), acceptance
+
+
+def honest_run_by_member(scheme, bit: int, world, rng_seed: int) -> tuple[int, bool, float]:
+    """(opened index, accept, acceptance) of an honest run, from the one member Alice draws.
+
+    The honest branch that `protocols.run_commitment` replaced: the member is
+    drawn by its ensemble weight, sent through the world alone, and its own
+    fidelity after transmission is both the acceptance and the `accept` odds.
+    """
+    rng = np.random.default_rng(rng_seed)
+    ens = scheme.ensemble(bit)
+    index = qmat.sample_index(ens.probabilities, rng)
+    member = ens.members[index]
+    fidelity = float(np.real(np.trace(member @ world.transmit(member))))
+    return index, bool(rng.random() < fidelity), fidelity

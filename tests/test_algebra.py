@@ -16,6 +16,7 @@ from qworlds.algebra import (
 from qworlds.channels import KrausChannel, apply_nonselective
 
 from tests.oracles import classical_broadcaster_by_row, rand_density, rand_pure, rand_unitary
+from tests.scoping import scoped_tolerance
 
 SQRT_HALF = 1 / np.sqrt(2)
 
@@ -225,6 +226,15 @@ def test_clone_orthogonal_pair_builds_exact_cloner():
         ready = np.eye(d)[0]
         for v in (psi, phi):
             assert np.abs(u @ np.kron(v, ready) - np.kron(v, v)).max() <= 1e-12
+    # a pair orthogonal within τ: the cloner is still unitary and clones psi, and phi within their overlap
+    eps = 5e-5
+    psi, phi = np.array([1, 0], dtype=complex), np.array([eps, np.sqrt(1 - eps**2)], dtype=complex)
+    with scoped_tolerance(1e-4):
+        u = clone_orthogonal_pair(psi, phi)
+    ready = np.eye(2)[0]
+    assert np.abs(np.conj(u).T @ u - np.eye(4)).max() <= 1e-12
+    assert np.abs(u @ np.kron(psi, ready) - np.kron(psi, psi)).max() <= 1e-12
+    assert np.abs(u @ np.kron(phi, ready) - np.kron(phi, phi)).max() <= eps
 
 
 def test_clone_refusal_carries_invariance_witness():

@@ -45,6 +45,7 @@ from tests.oracles import (
     attack_acceptance_by_enumeration,
     epr_attack_by_branch,
     hjw_effects_by_member,
+    honest_run_by_member,
     marginal_b_after_by_loops,
     matching_pure_ensemble,
     rand_channel,
@@ -181,6 +182,18 @@ def test_a_branch_that_never_fires_or_is_below_tolerance_accepts_nothing():
             assert (got.opened_index, got.accept) == (0, True)
             assert got.acceptance_probability == pytest.approx(1 - eps, abs=1e-15)
             assert epr_attack_by_branch(faint, 1, world, seed) == (0, True, got.acceptance_probability)
+            # an honest member below τ accepts nothing either, in a scheme that still conceals
+            got = run_commitment(faint, Honest(1), world, seed)
+            assert (got.opened_index, got.accept) == (0, True)
+            assert got.acceptance_probability == pytest.approx(1 - eps, abs=1e-15)
+    # at τ = 1e-4, seed 16283's first draw, 0.99997..., opens the member of weight 5e-5 ≤ τ
+    eps = 5e-5
+    with scoped_tolerance(1e-4):
+        faint = CommitmentScheme(*[Ensemble.from_pure_states([1 - eps, eps], [[1, 0], [0, 1]])] * 2)
+        for world in ATTACK_WORLDS:
+            got = run_commitment(faint, Honest(0), world, 16283)
+            assert (got.opened_index, got.accept) == (1, False)
+            assert got.acceptance_probability == pytest.approx(1 - eps, abs=1e-15)
 
 
 def test_epr_attack_detected_in_fully_dephased_world():
@@ -335,6 +348,35 @@ def test_selective_steering_contrast_positive_for_nondegenerate_measurements():
         u = rand_unitary(rng, 2)
         m = ProjectiveMeasurement((qmat.projector(u[:, 0]), qmat.projector(u[:, 1])))
         assert steering_contrast(singlet, m) > 0.1
+
+
+@pytest.mark.parametrize("d", (2, 3, 4, 8))
+def test_honest_run_draws_as_the_per_member_run_and_scores_the_born_average(d):
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        bases = [rand_unitary(rng, d).T for _ in range(2)]
+        scheme = CommitmentScheme(*(Ensemble.from_pure_states([1.0 / d] * d, basis) for basis in bases))
+        for bit in (0, 1):
+            for world in ATTACK_WORLDS:
+                got = run_commitment(scheme, Honest(bit), world, seed)
+                index, accept, _ = honest_run_by_member(scheme, bit, world, seed)
+                assert (got.opened_index, got.accept) == (index, accept)
+                # sum_j p_j tr(T_j ω(T_j)) with p_j = 1/d and T_j = |v_j><v_j|: each term is 1 where the
+                # world carries a lone state intact, sum_i |v_ji|^4 where it dephases it computationally
+                kept = (np.abs(bases[bit]) ** 4).sum(axis=1) if world.kind == "classical" else np.ones(d)
+                assert abs(got.acceptance_probability - kept.mean()) <= 1e-14
+
+
+def test_honest_acceptance_is_the_born_average_when_members_transmit_unequally():
+    # both bits average to I/2; the classical world keeps |0> and |1> intact but halves |+> and |->
+    s = SQRT_HALF
+    scheme = CommitmentScheme(
+        Ensemble.from_pure_states([0.5, 0.5], [[1, 0], [0, 1]]),
+        Ensemble.from_pure_states([0.25] * 4, [[1, 0], [0, 1], [s, s], [s, -s]]),
+    )
+    for seed in range(40):
+        got = run_commitment(scheme, Honest(1), World("classical"), seed)
+        assert got.acceptance_probability == pytest.approx(0.75, abs=1e-15)
 
 
 def test_selective_steering_contrast_bell_route():

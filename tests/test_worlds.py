@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -187,6 +188,20 @@ def test_transmit_policies():
     assert np.array_equal(World("quantum").transmit(plus_x), plus_x)
     assert np.array_equal(World.dephased(1.0).transmit(plus_x), plus_x)
     assert np.allclose(World("classical").transmit(plus_x), np.eye(2) / 2, atol=1e-12)
+    # a stack over the last two axes is the per-matrix calls, bit for bit, and names a bad member
+    rng = np.random.default_rng(17)
+    stack = np.stack([rand_density(rng, 3) for _ in range(4)])
+    bad = stack.copy()
+    bad[2] = -bad[2]
+    for world in (World("quantum"), World.dephased(0.5), World("classical")):
+        got = world.transmit(stack)
+        assert got.shape == stack.shape
+        for member, sent in zip(stack, got):
+            assert sent.tobytes() == world.transmit(member).tobytes()
+        with pytest.raises(ValueError) as single:
+            world.transmit(bad[2])
+        with pytest.raises(ValueError, match=f"^stack member 2: {re.escape(str(single.value))}$"):
+            world.transmit(bad)
 
 
 def test_negativity_monotone_in_separation_strength():
