@@ -37,6 +37,7 @@ from .channels import GeneralizedMeasurement
 from .entangle import (
     Ensemble,
     SteeringExampleConfig,
+    _corrected,
     canonical_chsh_settings,
     chsh_score,
     epr_singlet,
@@ -44,7 +45,8 @@ from .entangle import (
     hjw_steering_measurement,
     singlet_vector,
     steer,
-    teleport,
+    teleport,  # noqa: F401  re-exported: the library's one-trial entry point, which bench/test_bench.py reads here
+    teleport_branches,
 )
 from .protocols import REPORT_EDGE, commitment_round, concealment_check
 from .worlds import _WORLD_KINDS, World, evaluate_constraints
@@ -162,16 +164,22 @@ def _run_steer(req: ScenarioRequest, world: World) -> tuple[dict, dict]:
 
 
 def _run_teleport(req: ScenarioRequest, world: World) -> tuple[dict, dict]:
+    """Every trial through one `teleport_branches` call.
+
+    Each trial keeps the input, the seed and the outcome draw that its own `teleport` call would have.
+    """
     rng = np.random.default_rng(req.seed)
     shared = world.separate(epr_singlet())
-    fidelities = []
-    counts = [0, 0, 0, 0]
-    for _ in range(req.trials):
+    inputs = np.empty((req.trials, 2), dtype=complex)
+    seeds = []
+    for chi in inputs:  # the run's draws in trial order: two normal pairs, then the trial's seed
         z = rng.normal(size=2) + 1j * rng.normal(size=2)
-        chi = z / np.linalg.norm(z)
-        result = teleport(chi, shared, rng_seed=int(rng.integers(2**63)))
-        fidelities.append(result.fidelity)
-        counts[result.outcome - 1] += 1
+        chi[:] = z / np.linalg.norm(z)
+        seeds.append(int(rng.integers(2**63)))
+    p, branches = teleport_branches(inputs, shared)
+    outcomes = qmat.sample_index(p, (np.random.default_rng(seed) for seed in seeds))
+    _, fidelities = _corrected(inputs, p, branches, outcomes)
+    counts = np.bincount(outcomes, minlength=4).tolist()
     mean_fid = float(np.mean(fidelities))
     min_fid = float(np.min(fidelities))
     results = {

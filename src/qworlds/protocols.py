@@ -47,8 +47,9 @@ class CommitmentScheme:
     """Bit encodings: one pure-state ensemble per bit, over Bob's space.
 
     Immutable: the ensembles are validated once, at construction, and never
-    re-validated. The EPR attack depends only on the scheme and τ, so each
-    scheme builds it once and keeps that of the latest τ.
+    re-validated. The concealment verdict and the EPR attack depend only on
+    the scheme and τ, so each scheme builds them once and keeps those of the
+    latest τ.
     """
 
     ensemble_0: Ensemble
@@ -73,8 +74,13 @@ class CommitmentScheme:
         return self.ensemble_0.average()
 
     def is_concealing(self) -> bool:
-        gap = qmat.frobenius_distance(self.ensemble_0.average(), self.ensemble_1.average())
-        return gap <= qmat.tolerance() * self.dim
+        """Whether the two bits' averages agree within τ·dim; the scheme keeps the verdict of the latest τ."""
+
+        def build():
+            gap = qmat.frobenius_distance(self.ensemble_0.average(), self.ensemble_1.average())
+            return gap <= qmat.tolerance() * self.dim
+
+        return qmat._kept(self, "concealing", build)
 
     def _epr_attack(self) -> _EprAttack:
         """The EPR attack at the current τ, which the scheme keeps for the latest τ (`qmat._kept`)."""

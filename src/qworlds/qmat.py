@@ -7,7 +7,8 @@ of basis vectors are stored as rows of a 2-D array.
 The kernels `dagger`, `kron_pairs`, `partial_trace`, `marginal_b_after`
 and `eigh`, and the check `require_orthonormal_rows`, also take a stack of
 operators: they work over the last two axes, and a 2-D operator is a stack
-of one. The public validators (`as_complex_matrix`, `require_hermitian`,
+of one; `sample_index` takes a stack of weight rows over the last axis. The
+public validators (`as_complex_matrix`, `require_hermitian`,
 `require_density`) take one 2-D matrix. Every check is written once, over
 the last two axes, and run by the one runner `_require_members`, which
 reads τ, on a stack or on a validator's one matrix; a failing stack raises
@@ -427,15 +428,27 @@ def require_orthonormal_basis(basis) -> np.ndarray:
     return require_orthonormal_rows(b)
 
 
-def sample_index(weights, rng: np.random.Generator) -> int:
-    """Index drawn from one `rng.random()`, with probability ∝ `weights`: finite, each ≥ -τ, of positive sum."""
+def sample_index(weights, rng) -> int | np.ndarray:
+    """Index drawn from one `rng.random()`, with probability ∝ `weights`: finite, each ≥ -τ, of positive sum.
+
+    Over the last axis: for a (T, n) stack of weights, `rng` is an iterable
+    of T generators, one draw from each, and the T indices come back as one
+    array. One check covers the stack, and a failing row is named as "stack
+    member k".
+    """
     weights = np.asarray(weights, dtype=float)
-    total = weights.sum()
-    if not (0.0 < total < np.inf and weights.min() >= -tolerance()):  # a pass-test, so that NaN fails it
-        raise ValueError(f"weights must be finite, at least -τ and of positive sum, got {weights.tolist()}")
-    draw = rng.random() * total
-    index = int(np.searchsorted(np.cumsum(weights), draw, side="right"))
-    return min(index, weights.size - 1)
+    single = weights.ndim == 1
+    total = weights.sum(axis=-1)
+    # pass-tests, so that NaN fails them; an empty row fails on its sum
+    ok = (0.0 < total) & (total < np.inf) & (weights.min(axis=-1, initial=np.inf) >= -tolerance())
+    if not (ok if single else np.count_nonzero(ok) == len(ok)):  # a numpy bool tests faster than ok.all()
+        k = () if single else int(np.argmin(ok))
+        message = f"weights must be finite, at least -τ and of positive sum, got {weights[k].tolist()}"
+        raise ValueError(message if single else f"stack member {k}: {message}")
+    draws = rng.random() if single else np.fromiter((g.random() for g in rng), float, len(weights))
+    # the number of cumulative weights at or below the draw: a search, side="right", of each row
+    index = (weights.cumsum(axis=-1) <= (draws * total)[..., None]).sum(axis=-1)
+    return min(int(index), weights.size - 1) if single else np.minimum(index, weights.shape[-1] - 1)
 
 
 def vectors_match(u, v) -> bool:

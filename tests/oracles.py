@@ -12,8 +12,15 @@ import numpy as np
 from qworlds import qmat
 from qworlds.algebra import classical_broadcaster
 from qworlds.channels import KrausChannel, apply_nonselective
-from qworlds.entangle import BipartiteState, UnsupportedTargetError, schmidt
-from qworlds.protocols import no_signaling_trial
+from qworlds.entangle import (
+    BipartiteState,
+    UnsupportedTargetError,
+    bell_basis,
+    epr_singlet,
+    schmidt,
+    teleport_corrections,
+)
+from qworlds.protocols import REPORT_EDGE, no_signaling_trial
 
 
 def rand_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -433,3 +440,52 @@ def honest_run_by_member(scheme, bit: int, world, rng_seed: int) -> tuple[int, b
     member = ens.members[index]
     fidelity = float(np.real(np.trace(member @ world.transmit(member))))
     return index, bool(rng.random() < fidelity), fidelity
+
+
+def teleport_by_kron(
+    input_state, shared: BipartiteState, rng_seed: int = 0, force_outcome=None, corrections=None
+) -> tuple[int, np.ndarray, float]:
+    """(outcome, corrected state, fidelity) of one teleport, through the 8x8 joint state of one trial.
+
+    The per-trial path that `entangle.teleport_branches` replaced: the input's
+    projector is kron'd with the pair, each Bell projector on (input, A) with
+    the identity on B, and the drawn branch is projected, normalized and traced
+    down to B before its correction is applied.
+    """
+    chi = qmat.as_unit_vector(input_state)
+    table = teleport_corrections() if corrections is None else tuple(corrections)
+    joint = np.kron(qmat.projector(chi), shared.rho)  # order: input, A, B
+    eye_b = np.eye(2, dtype=complex)
+    branch_projs = [np.kron(qmat.projector(v), eye_b) for v in bell_basis()]
+    probs = np.array([float(np.real(np.trace(p @ joint))) for p in branch_projs])
+    if force_outcome is None:
+        idx = qmat.sample_index(probs, np.random.default_rng(rng_seed))
+    else:
+        idx = int(force_outcome) - 1
+    post = branch_projs[idx] @ joint @ branch_projs[idx] / probs[idx]
+    bob = qmat.partial_trace(post, (4, 2), "B")
+    corrected = table[idx] @ bob @ np.conj(table[idx]).T
+    return idx + 1, corrected, qmat.fidelity_to_vector(chi, corrected)
+
+
+def teleport_report_by_trial(world, trials: int, seed: int) -> tuple[dict, dict]:
+    """The results and flags of `run_scenario("teleport")`, one `teleport_by_kron` call per trial.
+
+    Each trial draws its input and its seed from the run's generator in the
+    order the CLI draws them: two `normal` pairs, then one `integers`.
+    """
+    rng = np.random.default_rng(seed)
+    shared = world.separate(epr_singlet())
+    fidelities, counts = [], [0, 0, 0, 0]
+    for _ in range(trials):
+        z = rng.normal(size=2) + 1j * rng.normal(size=2)
+        outcome, _, fidelity = teleport_by_kron(z / np.linalg.norm(z), shared, int(rng.integers(2**63)))
+        fidelities.append(fidelity)
+        counts[outcome - 1] += 1
+    mean_fid, min_fid = float(np.mean(fidelities)), float(np.min(fidelities))
+    results = {"trials": trials, "mean_fidelity": mean_fid, "min_fidelity": min_fid, "outcome_counts": counts}
+    flags = {
+        "mean_fidelity_unity": abs(mean_fid - 1.0) <= REPORT_EDGE,
+        "all_outcomes_observed": all(c > 0 for c in counts) if trials >= 50 else True,
+    }
+    return results, flags

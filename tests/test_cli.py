@@ -25,7 +25,9 @@ from qworlds.cli import (
 )
 from qworlds.entangle import SteeringExampleConfig
 from qworlds.protocols import REPORT_EDGE
+from qworlds.worlds import World
 
+from tests.oracles import teleport_report_by_trial
 from tests.scoping import scoped_tolerance
 
 
@@ -46,6 +48,19 @@ def test_teleport_report_mean_fidelity():
     report = run_scenario(ScenarioRequest(scenario="teleport", seed=1, trials=100))
     assert abs(report.results["mean_fidelity"] - 1.0) < 1e-10
     assert report.all_flags_pass()
+
+
+@pytest.mark.parametrize("world, strength", [
+    ("quantum", 1.0), ("dephased", 0.0), ("dephased", 0.3), ("dephased", 1.0), ("classical", 1.0),
+])
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+def test_teleport_report_matches_the_per_trial_kron_oracle(world, strength, seed):
+    report = run_scenario(ScenarioRequest("teleport", world, strength, trials=60, seed=seed))
+    results, flags = teleport_report_by_trial(World(world, strength if world == "dephased" else 0.0), 60, seed)
+    assert report.results["outcome_counts"] == results["outcome_counts"]
+    assert report.flags == flags
+    for key in ("mean_fidelity", "min_fidelity"):
+        assert abs(report.results[key] - results[key]) <= 1e-15
 
 
 def test_constraints_dephased_reports_attack_detection():

@@ -27,8 +27,11 @@ from qworlds.entangle import (
     steered_branches,
     steering_states,
     teleport,
+    teleport_branches,
     teleport_corrections,
 )
+from qworlds.qmat import DimensionMismatchError
+from qworlds.worlds import World
 
 from tests.oracles import (
     ensemble_average_by_member,
@@ -40,6 +43,7 @@ from tests.oracles import (
     rand_pure,
     rand_unitary,
     steered_branches_by_effect,
+    teleport_by_kron,
 )
 from tests.scoping import scoped_tolerance
 
@@ -307,6 +311,52 @@ def test_teleport_rejects_wrong_shared_dims():
     bad = BipartiteState(np.eye(6, dtype=complex) / 6, (2, 3))
     with pytest.raises(qmat.DimensionMismatchError):
         teleport([1, 0], bad)
+
+
+# the quantum world, dephased λ ∈ {0, 0.3, 1} and the classical world
+TELEPORT_WORLDS = (World("quantum"), *(World.dephased(s) for s in (0.0, 0.3, 1.0)), World("classical"))
+
+
+@pytest.mark.parametrize("world", TELEPORT_WORLDS, ids=repr)
+def test_teleport_matches_the_kron_oracle_sampled_and_forced(world):
+    shared = world.separate(epr_singlet())
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        chi = rand_pure(rng, 2)
+        seed = int(rng.integers(2**63))
+        forced = (None, 1, 2, 3, 4) if world.kind == "quantum" else (None,)
+        for force in forced:
+            got = teleport(chi, shared, rng_seed=seed, force_outcome=force)
+            outcome, corrected, fidelity = teleport_by_kron(chi, shared, seed, force)
+            assert got.outcome == outcome
+            assert abs(got.fidelity - fidelity) <= 1e-15
+            assert np.abs(got.corrected_state - corrected).max() <= 1e-15
+
+
+def test_teleport_branches_check_the_input_stack_and_the_pair_shapes():
+    with pytest.raises(DimensionMismatchError, match="input must be a qubit"):
+        teleport_branches(np.ones((5, 3)) / np.sqrt(3), epr_singlet())
+    with pytest.raises(DimensionMismatchError, match="input must be a qubit"):
+        teleport_branches([1, 0], epr_singlet())  # one vector is a stack of one only as shape (1, 2)
+    with pytest.raises(DimensionMismatchError, match="2x2 bipartite"):
+        teleport_branches([[1, 0]], BipartiteState(np.eye(6, dtype=complex) / 6, (2, 3)))
+
+
+# |0>|00> on (input, A, B): the singlet on (input, A) has no overlap with |00>
+_PRODUCT_PAIR = BipartiteState(qmat.projector([1, 0, 0, 0]), (2, 2))
+
+
+@pytest.mark.parametrize("chi, pair, options, error, match", [
+    ([1, 0, 0], epr_singlet(), {}, DimensionMismatchError, "input must be a qubit"),
+    ([1, 1], epr_singlet(), {}, ValueError, "vector norm"),
+    ([1, 0], epr_singlet(), {"force_outcome": 0}, ValueError, "force_outcome must be 1..4"),
+    ([1, 0], epr_singlet(), {"force_outcome": 5}, ValueError, "force_outcome must be 1..4"),
+    ([1, 0], _PRODUCT_PAIR, {"force_outcome": 1}, ValueError, "forced outcome 1 has vanishing probability"),
+    ([1, 0], epr_singlet(), {"corrections": teleport_corrections()[:3]}, ValueError, "exactly four entries"),
+])
+def test_teleport_rejects_bad_input(chi, pair, options, error, match):
+    with pytest.raises(error, match=match):
+        teleport(chi, pair, **options)
 
 
 def test_correction_table_shape():

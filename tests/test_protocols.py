@@ -84,6 +84,26 @@ def test_bb84_scheme_conceals():
     assert np.allclose(scheme.average(), np.eye(2) / 2, atol=1e-12)
 
 
+def test_concealment_verdict_is_kept_per_scheme_and_tolerance(monkeypatch):
+    # bit 1 leans toward |0> by 1e-6: its average is 1.4e-6 from bit 0's, hidden at τ = 1e-4 alone
+    eps = 1e-6
+    scheme = CommitmentScheme(
+        Ensemble.from_pure_states([0.5, 0.5], [[1, 0], [0, 1]]),
+        Ensemble.from_pure_states([0.5 + eps, 0.5 - eps], [[1, 0], [0, 1]]),
+    )
+    distance, gaps = qmat.frobenius_distance, []
+    monkeypatch.setattr(qmat, "frobenius_distance", lambda *a: gaps.append(distance(*a)) or gaps[-1])
+    assert not scheme.is_concealing() and len(gaps) == 1
+    assert not scheme.is_concealing() and len(gaps) == 1  # the same τ reads the kept verdict
+    with scoped_tolerance(1e-4):
+        assert scheme.is_concealing() and len(gaps) == 2  # a new τ computes its own
+        assert scheme.is_concealing() and len(gaps) == 2
+    assert not scheme.is_concealing() and len(gaps) == 3  # only the latest τ is kept
+    with pytest.raises(ValueError, match="scheme violates concealment"):
+        run_commitment(scheme, Honest(0), World("quantum"), 0)
+    assert len(gaps) == 3
+
+
 def test_honest_acceptance_is_one_in_every_world():
     worlds = [
         (World("quantum"), bb84_scheme()),
@@ -483,12 +503,13 @@ def test_epr_setup_is_built_once_per_scheme_bit_and_tolerance(monkeypatch):
 
 
 def test_what_a_scheme_or_pair_keeps_does_not_keep_it_alive():
-    # the kept EPR attack, and the frame and classical separation kept for its pair, refer to neither owner
+    # the kept concealment verdict and EPR attack, and the frame and classical separation kept for its pair,
+    # refer to neither owner
     scheme = bb84_scheme()
     for world in MEMO_WORLDS:
         run_commitment(scheme, EprAttack(1), world, 3)
     pair = scheme._epr_attack().pair
-    assert set(qmat._KEPT[scheme]) == {"epr attack"} and set(qmat._KEPT[pair]) == {"frame", "classical"}
+    assert set(qmat._KEPT[scheme]) == {"concealing", "epr attack"} and set(qmat._KEPT[pair]) == {"frame", "classical"}
     owners = weakref.ref(scheme), weakref.ref(pair)
     kept = len(qmat._KEPT)
     del scheme, pair

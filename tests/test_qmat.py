@@ -220,6 +220,18 @@ def test_sample_index_draws_by_weight_from_one_random_number():
         assert qmat.sample_index(weights, SimpleNamespace(random=lambda: u)) == index
 
 
+def test_sample_index_draws_each_row_of_a_stack_as_it_draws_the_row_alone():
+    rng = np.random.default_rng(5)
+    weights = rng.random((300, 4))
+    weights[::3, 1] = 0.0
+    seeds = [int(s) for s in rng.integers(2**63, size=300)]
+    got = qmat.sample_index(weights, (np.random.default_rng(s) for s in seeds))
+    assert got.tolist() == [qmat.sample_index(w, np.random.default_rng(s)) for w, s in zip(weights, seeds)]
+    weights[7, 2] = np.nan  # one check covers the stack, before any draw
+    with pytest.raises(ValueError, match=r"^stack member 7: weights must be finite, at least -τ and of positive sum"):
+        qmat.sample_index(weights, iter(()))
+
+
 @pytest.mark.parametrize("weights", [[np.nan, 1.0], [-1.0, 2.0], [0.0, 0.0], [np.inf, 1.0], [1.0, -np.inf], []])
 def test_sample_index_rejects_weights_that_are_not_a_distribution(weights):
     with pytest.raises(ValueError, match=r"^weights must be finite, at least -τ and of positive sum, got \["):
