@@ -164,20 +164,23 @@ def _run_steer(req: ScenarioRequest, world: World) -> tuple[dict, dict]:
 
 
 def _run_teleport(req: ScenarioRequest, world: World) -> tuple[dict, dict]:
-    """Every trial through one `teleport_branches` call.
+    """Every trial through one `teleport_branches` call and one stacked `qmat.sample_index` draw.
 
-    Each trial keeps the input, the seed and the outcome draw that its own `teleport` call would have.
+    Each trial keeps the input, the seed and the outcome draw that its own
+    `teleport` call would have: the run's generator gives its four normals and
+    its seed in trial order, and its outcome is drawn with that seed's first
+    `default_rng(seed).random()`, which `sample_index` computes for all trials at once.
     """
     rng = np.random.default_rng(req.seed)
     shared = world.separate(epr_singlet())
-    inputs = np.empty((req.trials, 2), dtype=complex)
-    seeds = []
-    for chi in inputs:  # the run's draws in trial order: two normal pairs, then the trial's seed
-        z = rng.normal(size=2) + 1j * rng.normal(size=2)
-        chi[:] = z / np.linalg.norm(z)
-        seeds.append(int(rng.integers(2**63)))
+    normals = np.empty((req.trials, 4))
+    seeds = np.empty(req.trials, dtype=np.int64)
+    for t in range(req.trials):  # one normal(size=4) draws the stream of two normal pairs: real, then imaginary
+        normals[t] = rng.normal(size=4)
+        seeds[t] = rng.integers(2**63)
+    inputs = qmat._unit_rows(normals[:, :2] + 1j * normals[:, 2:])
     p, branches = teleport_branches(inputs, shared)
-    outcomes = qmat.sample_index(p, (np.random.default_rng(seed) for seed in seeds))
+    outcomes = qmat.sample_index(p, seeds)
     _, fidelities = _corrected(inputs, p, branches, outcomes)
     counts = np.bincount(outcomes, minlength=4).tolist()
     mean_fid = float(np.mean(fidelities))

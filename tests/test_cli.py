@@ -54,9 +54,10 @@ def test_teleport_report_mean_fidelity():
     ("quantum", 1.0), ("dephased", 0.0), ("dephased", 0.3), ("dephased", 1.0), ("classical", 1.0),
 ])
 @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
-def test_teleport_report_matches_the_per_trial_kron_oracle(world, strength, seed):
-    report = run_scenario(ScenarioRequest("teleport", world, strength, trials=60, seed=seed))
-    results, flags = teleport_report_by_trial(World(world, strength if world == "dephased" else 0.0), 60, seed)
+@pytest.mark.parametrize("trials", [1, 60, 1000])
+def test_teleport_report_matches_the_per_trial_kron_oracle(world, strength, seed, trials):
+    report = run_scenario(ScenarioRequest("teleport", world, strength, trials=trials, seed=seed))
+    results, flags = teleport_report_by_trial(World(world, strength if world == "dephased" else 0.0), trials, seed)
     assert report.results["outcome_counts"] == results["outcome_counts"]
     assert report.flags == flags
     for key in ("mean_fidelity", "min_fidelity"):
