@@ -24,10 +24,11 @@ from __future__ import annotations
 import argparse
 import contextvars
 import json
+import operator
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,7 +50,7 @@ from .entangle import (
     teleport_branches,
 )
 from .protocols import REPORT_EDGE, commitment_round, concealment_check
-from .worlds import _WORLD_KINDS, World, evaluate_constraints
+from .worlds import _WORLD_KINDS, World, _ginibre, evaluate_constraints
 
 TOL_ENV_VAR = "QWORLDS_TOL"
 
@@ -102,22 +103,35 @@ class ScenarioReport:
         return all(bool(v) for v in self.flags.values())
 
 
-def _validate(req: ScenarioRequest) -> World:
-    """Scope τ to `req.tol` in the current context, reject every out-of-range request parameter, and return the world.
+def _integer(name: str, value) -> int:
+    """`value` as a Python int, if `operator.index` takes it and it is not a bool."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
 
-    τ is scoped before the scenario's check, so tolerance-dependent checks
-    (the steering amplitudes) judge the input at the requested tolerance.
+
+def _validate(req: ScenarioRequest) -> tuple[ScenarioRequest, World]:
+    """Scope τ to `req.tol` in the current context, reject every out-of-range request parameter, and return (req, world).
+
+    The returned request holds its seed and trials as Python ints. τ is scoped
+    before the scenario's check, so tolerance-dependent checks (the steering
+    amplitudes) judge the input at the requested tolerance.
     """
     if req.scenario not in _SCENARIOS:
         raise InvalidParameterError(f"unknown scenario {req.scenario!r}")
+    req = replace(req, seed=_integer("seed", req.seed), trials=_integer("trials", req.trials))
     if req.seed < 0:
         raise InvalidParameterError(f"seed must be nonnegative, got {req.seed}")
     try:
         qmat._scoped.set(qmat._checked_tolerance(req.tol))
         _SCENARIOS[req.scenario].check(req)
-        return World(req.world_kind, req.strength if req.world_kind == "dephased" else 0.0)
+        world = World(req.world_kind, req.strength if req.world_kind == "dephased" else 0.0)
     except ValueError as exc:
         raise InvalidParameterError(str(exc)) from exc
+    return req, world
 
 
 def _attack_expected(world: World) -> bool:
@@ -164,23 +178,18 @@ def _run_steer(req: ScenarioRequest, world: World) -> tuple[dict, dict]:
 
 
 def _run_teleport(req: ScenarioRequest, world: World) -> tuple[dict, dict]:
-    """Every trial through one `teleport_branches` call and one stacked `qmat.sample_index` draw.
+    """Every trial through one `teleport_branches` call, with inputs and outcomes from the run's one generator.
 
-    Each trial keeps the input, the seed and the outcome draw that its own
-    `teleport` call would have: the run's generator gives its four normals and
-    its seed in trial order, and its outcome is drawn with that seed's first
-    `default_rng(seed).random()`, which `sample_index` computes for all trials at once.
+    One bulk draw gives every input, the real parts before the imaginary
+    ones; one stacked `qmat.sample_index` call then draws every outcome, as
+    one `random()` per trial in trial order would.
     """
     rng = np.random.default_rng(req.seed)
     shared = world.separate(epr_singlet())
-    normals = np.empty((req.trials, 4))
-    seeds = np.empty(req.trials, dtype=np.int64)
-    for t in range(req.trials):  # one normal(size=4) draws the stream of two normal pairs: real, then imaginary
-        normals[t] = rng.normal(size=4)
-        seeds[t] = rng.integers(2**63)
-    inputs = qmat._unit_rows(normals[:, :2] + 1j * normals[:, 2:])
+    z = _ginibre(rng, req.trials, 2)
+    inputs = z / np.linalg.norm(z, axis=1, keepdims=True)
     p, branches = teleport_branches(inputs, shared)
-    outcomes = qmat.sample_index(p, seeds)
+    outcomes = qmat.sample_index(p, rng)
     _, fidelities = _corrected(inputs, p, branches, outcomes)
     counts = np.bincount(outcomes, minlength=4).tolist()
     mean_fid = float(np.mean(fidelities))
@@ -314,7 +323,7 @@ def run_scenario(req: ScenarioRequest) -> ScenarioReport:
     caller nor another thread sees that τ.
     """
     in_scope = contextvars.copy_context().run
-    world = in_scope(_validate, req)
+    req, world = in_scope(_validate, req)
     try:
         results, flags = in_scope(_SCENARIOS[req.scenario].run, req, world)
     except ValueError as exc:

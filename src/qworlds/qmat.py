@@ -7,10 +7,9 @@ of basis vectors are stored as rows of a 2-D array.
 The kernels `dagger`, `kron_pairs`, `partial_trace`, `marginal_b_after`
 and `eigh`, and the check `require_orthonormal_rows`, also take a stack of
 operators: they work over the last two axes, and a 2-D operator is a stack
-of one; `sample_index` takes a stack of weight rows over the last axis,
-with one seed per row, and draws row t with `default_rng(seed_t).random()`,
-computed for the whole stack by one kernel (`_first_draws`) that matches
-numpy bit for bit. The public validators (`as_complex_matrix`, `require_hermitian`,
+of one; `sample_index` takes a stack of weight rows over the last axis
+and draws them from one generator as it would draw the rows one by one.
+The public validators (`as_complex_matrix`, `require_hermitian`,
 `require_density`) take one 2-D matrix. Every check is written once, over
 the last two axes, and run by the one runner `_require_members`, which
 reads τ, on a stack or on a validator's one matrix; a failing stack raises
@@ -396,11 +395,6 @@ def _frobenius_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt((v.real @ v.real.swapaxes(-1, -2) + v.imag @ v.imag.swapaxes(-1, -2))[..., 0, 0])
 
 
-def _unit_rows(z: np.ndarray) -> np.ndarray:
-    """Each row of a 2-D complex array over its norm: `z[t] / np.linalg.norm(z[t])` bit for bit."""
-    return z / _frobenius_norms(z[:, None, :])[:, None]
-
-
 def fidelity_to_vector(v, rho) -> float:
     """<v|rho|v> for a unit vector and a density operator."""
     v = np.asarray(v, dtype=complex).reshape(-1)
@@ -438,11 +432,11 @@ def require_orthonormal_basis(basis) -> np.ndarray:
 def sample_index(weights, source) -> int | np.ndarray:
     """Index drawn from one `source.random()`, with probability ∝ `weights`: finite, each ≥ -τ, of positive sum.
 
-    Over the last axis: for a (T, n) stack of weights, `source` is a (T,)
-    array of seeds, each an integer in [0, 2**64), and row t draws with
-    `np.random.default_rng(source[t]).random()`, which `_first_draws` computes
-    for the whole stack at once. The weights are checked before the seeds,
-    each as one stack, and a failing row or seed is named as "stack member k".
+    `source` is a numpy `Generator`. Over the last axis: a (T, n) stack of
+    weights draws row t with the t-th of one `source.random(T)`, which equals
+    T successive `source.random()` calls, so a stack draws as its rows would
+    one by one. The stack is checked as one, and a failing row is named as
+    "stack member k".
     """
     weights = np.asarray(weights, dtype=float)
     single = weights.ndim == 1
@@ -453,99 +447,10 @@ def sample_index(weights, source) -> int | np.ndarray:
         k = () if single else int(np.argmin(ok))
         message = f"weights must be finite, at least -τ and of positive sum, got {weights[k].tolist()}"
         raise ValueError(message if single else f"stack member {k}: {message}")
-    draws = source.random() if single else _first_draws(_seed_stack(source, len(weights)))
+    draws = source.random() if single else source.random(len(weights))
     # the number of cumulative weights at or below the draw: a search, side="right", of each row
     index = (weights.cumsum(axis=-1) <= (draws * total)[..., None]).sum(axis=-1)
     return min(int(index), weights.size - 1) if single else np.minimum(index, weights.shape[-1] - 1)
-
-
-def _seed_stack(seeds, rows: int) -> np.ndarray:
-    """`seeds` as a (rows,) uint64 array, if each is an integer in [0, 2**64); none is wrapped."""
-    integral = isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu"
-    s = seeds if integral else np.array(seeds, dtype=object)  # object: Python ints, exact at any size
-    if s.shape != (rows,):
-        raise DimensionMismatchError(f"expected {rows} seeds, one per weight row, got shape {s.shape}")
-    if integral:
-        ok = s >= 0 if s.dtype.kind == "i" else np.ones(rows, dtype=bool)
-    else:
-        ok = np.array([isinstance(x, (int, np.integer)) and 0 <= int(x) < 2**64 for x in s], dtype=bool)
-    if np.count_nonzero(ok) < rows:
-        k = int(np.argmin(ok))
-        raise ValueError(f"stack member {k}: seed must be an integer in [0, 2**64), got {s.tolist()[k]!r}")
-    return s.astype(np.uint64)
-
-
-# `_first_draws` writes out numpy's `SeedSequence` (after O'Neill's seed_seq_fe)
-# and PCG64 (O'Neill, HMC-CS-2014-0905) for a stack. Every value is a uint32 or
-# uint64 array and every constant a numpy scalar or array of its type, so that
-# products wrap as in C under every numpy casting rule.
-
-
-def _hash_constants(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(xor, multiplier) constants of n successive `SeedSequence` hashes: hash k uses h_k and h_{k+1} = h_k·mult."""
-    h = [init]
-    for _ in range(n):
-        h.append(h[-1] * mult & 0xFFFFFFFF)
-    return np.array(h[:-1], np.uint32), np.array(h[1:], np.uint32)
-
-
-_POOL_HASHES = _hash_constants(0x43B0D7E5, 0x931E8875, 16)  # 4 fill the entropy pool, then 3 per mixing round
-_STATE_HASHES = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)  # one per 32-bit word of PCG64's seed
-_MIX = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_OTHERS = tuple(np.array([j for j in range(4) if j != i]) for i in range(4))  # the words each pool word mixes into
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # M, the multiplier of PCG64's 128-bit LCG
-# Seeding takes the state to (s + inc)·M + inc, and the first draw steps once
-# more: to s·M² + inc·(M² + M + 1) mod 2**128. Column 0 multiplies s, column 1 inc.
-_FIRST_STEP = [(_PCG_MULT**2 + c) % 2**128 for c in (0, _PCG_MULT + 1)]
-_FIRST_STEP_HI = np.array([m >> 64 for m in _FIRST_STEP], np.uint64)
-_FIRST_STEP_LO = np.array([m & 0xFFFFFFFFFFFFFFFF for m in _FIRST_STEP], np.uint64)
-_LOW32 = np.uint64(0xFFFFFFFF)
-
-
-def _hashmix(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    v = (v ^ xor) * mult
-    return v ^ v >> np.uint32(16)
-
-
-def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The high 64 bits of each 128-bit product a·b of uint64 arrays, from their 32-bit halves."""
-    a_lo, a_hi, b_lo, b_hi = a & _LOW32, a >> np.uint64(32), b & _LOW32, b >> np.uint64(32)
-    cross_a, cross_b = a_lo * b_hi, a_hi * b_lo
-    mid = (a_lo * b_lo >> np.uint64(32)) + (cross_a & _LOW32) + (cross_b & _LOW32)
-    return a_hi * b_hi + (cross_a >> np.uint64(32)) + (cross_b >> np.uint64(32)) + (mid >> np.uint64(32))
-
-
-def _first_draws(seeds: np.ndarray) -> np.ndarray:
-    """`np.random.default_rng(s).random()` for each s of a (T,) uint64 array, bit for bit, as one stack."""
-    # SeedSequence(s): s's two 32-bit words, low first, and two zeros fill a pool of
-    # four hashed words; then each word, in order, is hashed into the other three
-    words = np.zeros((len(seeds), 4), np.uint32)
-    words[:, 0] = (seeds & _LOW32).astype(np.uint32)
-    words[:, 1] = (seeds >> np.uint64(32)).astype(np.uint32)
-    xor, mult = _POOL_HASHES
-    pool = _hashmix(words, xor[:4], mult[:4])
-    for i, k in enumerate(range(4, 16, 3)):
-        h = _hashmix(pool[:, i, None], xor[k : k + 3], mult[k : k + 3])
-        mixed = _MIX[0] * pool[:, _OTHERS[i]] - _MIX[1] * h
-        pool[:, _OTHERS[i]] = mixed ^ mixed >> np.uint32(16)
-    # generate_state(4, uint64): the pool twice over, hashed, paired little-endian into
-    # PCG64's seed words: (s high, s low, seq high, seq low)
-    w = _hashmix(np.tile(pool, 2), *_STATE_HASHES).astype(np.uint64)
-    v = w[:, ::2] | w[:, 1::2] << np.uint64(32)
-    # the (T, 2) high and low halves of s and of the increment inc = 2·seq + 1
-    one = np.uint64(1)
-    hi = np.stack([v[:, 0], v[:, 2] << one | v[:, 3] >> np.uint64(63)], axis=1)
-    lo = np.stack([v[:, 1], v[:, 3] << one | one], axis=1)
-    # the state of the first draw, s·M² + inc·(M² + M + 1), with its two products' halves summed
-    lo_terms = lo * _FIRST_STEP_LO
-    hi_terms = lo * _FIRST_STEP_HI + hi * _FIRST_STEP_LO + _mulhi(lo, _FIRST_STEP_LO)
-    state_lo = lo_terms[:, 0] + lo_terms[:, 1]
-    state_hi = hi_terms[:, 0] + hi_terms[:, 1] + (state_lo < lo_terms[:, 0]).astype(np.uint64)
-    # XSL-RR output: the halves' xor rotated right by the state's top 6 bits; random() keeps its top 53 bits
-    x = state_hi ^ state_lo
-    rot = state_hi >> np.uint64(58)
-    x = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
-    return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 def vectors_match(u, v) -> bool:

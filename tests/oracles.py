@@ -443,7 +443,7 @@ def honest_run_by_member(scheme, bit: int, world, rng_seed: int) -> tuple[int, b
 
 
 def teleport_by_kron(
-    input_state, shared: BipartiteState, rng_seed: int = 0, force_outcome=None, corrections=None
+    input_state, shared: BipartiteState, rng: np.random.Generator, force_outcome=None, corrections=None
 ) -> tuple[int, np.ndarray, float]:
     """(outcome, corrected state, fidelity) of one teleport, through the 8x8 joint state of one trial.
 
@@ -459,7 +459,7 @@ def teleport_by_kron(
     branch_projs = [np.kron(qmat.projector(v), eye_b) for v in bell_basis()]
     probs = np.array([float(np.real(np.trace(p @ joint))) for p in branch_projs])
     if force_outcome is None:
-        idx = qmat.sample_index(probs, np.random.default_rng(rng_seed))
+        idx = qmat.sample_index(probs, rng)
     else:
         idx = int(force_outcome) - 1
     post = branch_projs[idx] @ joint @ branch_projs[idx] / probs[idx]
@@ -471,15 +471,17 @@ def teleport_by_kron(
 def teleport_report_by_trial(world, trials: int, seed: int) -> tuple[dict, dict]:
     """The results and flags of `run_scenario("teleport")`, one `teleport_by_kron` call per trial.
 
-    Each trial draws its input and its seed from the run's generator in the
-    order the CLI draws them: two `normal` pairs, then one `integers`.
+    The inputs come from the CLI's one bulk draw from the run's generator,
+    every real part before every imaginary part; then each trial in turn
+    draws its outcome with one `random()` from the same generator.
     """
     rng = np.random.default_rng(seed)
     shared = world.separate(epr_singlet())
+    z = rng.normal(size=(2, trials, 2))
+    inputs = z[0] + 1j * z[1]
     fidelities, counts = [], [0, 0, 0, 0]
-    for _ in range(trials):
-        z = rng.normal(size=2) + 1j * rng.normal(size=2)
-        outcome, _, fidelity = teleport_by_kron(z / np.linalg.norm(z), shared, int(rng.integers(2**63)))
+    for chi in inputs / np.linalg.norm(inputs, axis=1, keepdims=True):
+        outcome, _, fidelity = teleport_by_kron(chi, shared, rng)
         fidelities.append(fidelity)
         counts[outcome - 1] += 1
     mean_fid, min_fid = float(np.mean(fidelities)), float(np.min(fidelities))

@@ -74,12 +74,32 @@ def test_constraints_dephased_reports_attack_detection():
     assert report.all_flags_pass()
 
 
-def test_reports_are_byte_identical_for_identical_requests():
-    req = dict(scenario="bitcommit", world_kind="dephased", strength=0.5, seed=11)
+@pytest.mark.parametrize("req", [
+    dict(scenario="bitcommit", world_kind="dephased", strength=0.5, seed=11),
+    dict(scenario="teleport", world_kind="dephased", strength=0.5, seed=5, trials=1000),
+], ids=lambda req: req["scenario"])
+def test_reports_are_byte_identical_for_identical_requests(req):
     a = run_scenario(ScenarioRequest(**req)).render()
     b = run_scenario(ScenarioRequest(**req)).render()
     assert a == b
     assert a.encode() == b.encode()
+
+
+@pytest.mark.parametrize("scenario", cli.SCENARIOS)
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("seed", True), ("seed", np.float64(2.0)), ("seed", "3"), ("seed", None),
+    ("trials", 2.5), ("trials", True), ("trials", np.bool_(True)),
+])
+def test_seed_and_trials_must_be_integers_and_not_bools(scenario, field, value):
+    with pytest.raises(InvalidParameterError, match=rf"^{field} must be an integer, got {re.escape(repr(value))}$"):
+        run_scenario(ScenarioRequest(scenario, **{field: value}))
+
+
+@pytest.mark.parametrize("scenario", cli.SCENARIOS)
+def test_integer_seed_and_trials_of_any_type_report_as_python_ints(scenario):
+    report = run_scenario(ScenarioRequest(scenario, seed=np.int64(3), trials=np.uint8(5)))
+    assert type(report.seed) is int and type(report.params.get("trials", 0)) is int
+    assert report.render() == run_scenario(ScenarioRequest(scenario, seed=3, trials=5)).render()
 
 
 def test_main_writes_identical_files(tmp_path):

@@ -327,7 +327,7 @@ def test_teleport_matches_the_kron_oracle_sampled_and_forced(world):
         forced = (None, 1, 2, 3, 4) if world.kind == "quantum" else (None,)
         for force in forced:
             got = teleport(chi, shared, rng_seed=seed, force_outcome=force)
-            outcome, corrected, fidelity = teleport_by_kron(chi, shared, seed, force)
+            outcome, corrected, fidelity = teleport_by_kron(chi, shared, np.random.default_rng(seed), force)
             assert got.outcome == outcome
             assert abs(got.fidelity - fidelity) <= 1e-15
             assert np.abs(got.corrected_state - corrected).max() <= 1e-15
