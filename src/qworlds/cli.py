@@ -61,10 +61,6 @@ EXIT_UNWRITABLE = 4
 EXIT_NUMERICAL = 5
 
 _MAX_SCORE = float(2.0 * np.sqrt(2.0))
-# edge of the closed-form flags: the default τ, fixed so every --tol judges them alike
-_FLAG_EDGE = 1e-9
-# least deviation that fails a broadcast: |+><+| misses by 1/sqrt(2), far above roundoff
-_BROADCAST_GAP = 1e-3
 
 
 class InvalidParameterError(ValueError):
@@ -170,7 +166,7 @@ def _run_steer(req: ScenarioRequest, world: World) -> tuple[dict, dict]:
     # built-in expectation is the quantum steering outcome; running in a
     # decohering world fails these flags, which is the point of the comparison
     flags = {
-        "ensemble_average_matches_marginal": marginal_gap <= _FLAG_EDGE,
+        "ensemble_average_matches_marginal": marginal_gap <= REPORT_EDGE,
         "probabilities_uniform": all(abs(p - 0.25) <= REPORT_EDGE for p in probs),
         "conditionals_match_targets": all(abs(f - 1.0) <= REPORT_EDGE for f in fidelities),
     }
@@ -221,7 +217,7 @@ def _run_bitcommit(req: ScenarioRequest, world: World) -> tuple[dict, dict]:
         "attack_transcripts": [t.to_dict() for t in commit.attack_transcripts],
     }
     flags = {
-        "honest_acceptance_unity": all(abs(a - 1.0) <= _FLAG_EDGE for a in commit.honest_acceptance),
+        "honest_acceptance_unity": all(abs(a - 1.0) <= REPORT_EDGE for a in commit.honest_acceptance),
         "concealing": bool(concealed),
         "attack_matches_world_expectation": commit.attack_succeeds == _attack_expected(world),
     }
@@ -250,9 +246,9 @@ def _run_chsh(req: ScenarioRequest, world: World) -> tuple[dict, dict]:
         "tsirelson_bound": _MAX_SCORE,
     }
     # the singlet's |CHSH| at the canonical settings is 2*sqrt(2)*(1 - lambda/2): sqrt(2) if classical
-    expectation_met = abs(abs(score) - _MAX_SCORE * (1.0 - world._lambda / 2.0)) <= _FLAG_EDGE
+    expectation_met = abs(abs(score) - _MAX_SCORE * (1.0 - world._lambda / 2.0)) <= REPORT_EDGE
     flags = {
-        "bound_respected": bool(abs(score) <= _MAX_SCORE + _FLAG_EDGE),
+        "bound_respected": bool(abs(score) <= _MAX_SCORE + REPORT_EDGE),
         "score_matches_world_expectation": bool(expectation_met),
     }
     return results, flags
@@ -282,7 +278,7 @@ def _run_broadcast(req: ScenarioRequest, world: World) -> tuple[dict, dict]:
     }
     flags = {
         "commuting_pair_broadcasts": all(dev <= t for dev in commuting),
-        "noncommuting_state_fails": off_diag > t and off_diag > _BROADCAST_GAP,
+        "noncommuting_state_fails": off_diag > t,
         "nonorthogonal_clone_refused": refused,
     }
     return results, flags

@@ -14,6 +14,7 @@ from . import qmat
 from .channels import GeneralizedMeasurement
 from .qmat import DimensionMismatchError, dagger
 
+# a rank rule, not a check edge, so not τ: at τ = 1e-9 a purification would drop a member of weight 1e-11
 _RANK_CUTOFF = 1e-12  # spectral weight below which a branch counts as absent
 
 
@@ -111,7 +112,7 @@ class Ensemble:
             raise DimensionMismatchError("one probability per member is required")
         if float(p.min()) < -t:
             raise ValueError(f"negative probability {float(p.min())}")
-        if not abs(float(p.sum()) - 1.0) <= max(t, 1e-12 * p.size):  # a pass-test, so that NaN fails it
+        if not abs(float(p.sum()) - 1.0) <= t:  # a pass-test, so that NaN fails it
             raise ValueError(f"probabilities sum to {float(p.sum())}, not 1")
         object.__setattr__(self, "probabilities", qmat._readonly(p))
         object.__setattr__(self, "members", members)
@@ -240,7 +241,7 @@ def _pure_vectors(rho: np.ndarray) -> np.ndarray:
     """
     w, v = qmat._eigh(rho)
     top = w[..., 0].reshape(-1)
-    impure = np.flatnonzero(np.abs(top - 1.0) > max(qmat.tolerance(), 1e-8))
+    impure = np.flatnonzero(np.abs(top - 1.0) > qmat.tolerance())
     if impure.size:
         message = f"state is not pure: top eigenvalue {float(top[impure[0]])}"
         raise ValueError(message if w.ndim == 1 else f"stack member {impure[0]}: {message}")
@@ -250,7 +251,7 @@ def _pure_vectors(rho: np.ndarray) -> np.ndarray:
 def _require_average(target: Ensemble, marginal_b: np.ndarray, mismatch: str) -> None:
     """Raise AverageMismatchError, as "<mismatch> by <gap>", unless the target averages to marginal_b."""
     gap = qmat.frobenius_distance(target.average(), marginal_b)
-    if gap > max(qmat.tolerance(), 1e-7):
+    if gap > qmat.tolerance():
         raise AverageMismatchError(f"{mismatch} by {gap}")
 
 
@@ -287,7 +288,7 @@ def hjw_steering_measurement(
     overlaps = vectors @ dec.b_basis.conj().T  # [i, k] = <b_k|t_i>
     # ||t_i||^2 - ||B t_i||^2: the weight of |t_i> outside the support spanned by the b_k
     residuals = (abs(vectors) ** 2).sum(axis=1) - (abs(overlaps) ** 2).sum(axis=1)
-    outside = np.flatnonzero(residuals > max(t, 1e-9))
+    outside = np.flatnonzero(residuals > t)
     if outside.size:
         i = int(outside[0])
         raise UnsupportedTargetError(

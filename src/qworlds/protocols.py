@@ -29,9 +29,8 @@ from .entangle import (
 )
 from .qmat import DimensionMismatchError
 
-# threshold separating a numerically-zero witness from a genuine violation;
-# an EPR attack succeeds when its acceptance is 1 within this edge, and the
-# CLI's steer and teleport flags compare against it too
+# the one edge of every report flag that compares a witness with a closed form, whatever τ is (an EPR
+# attack succeeds when its acceptance is 1 within it); invariant checks, and broadcaster deviations, use τ
 REPORT_EDGE = 1e-10
 
 
@@ -279,7 +278,7 @@ def point_mass_distribution(ensemble: Ensemble, algebra: BlockAlgebra) -> np.nda
         diag = np.real(np.diag(member))
         off = qmat.frobenius_distance(member - np.diag(np.diag(member)))
         k = int(np.argmax(diag))
-        if off > t * n or abs(diag[k] - 1.0) > max(t, 1e-9):
+        if off > t * n or abs(diag[k] - 1.0) > t:
             raise ValueError("ensemble member is not a point mass of the commutative algebra")
         dist[k] += p
     return dist
@@ -299,7 +298,7 @@ def classical_unique_decomposition(
     """
     d0 = point_mass_distribution(ensemble_0, algebra)
     d1 = point_mass_distribution(ensemble_1, algebra)
-    return float(np.max(np.abs(d0 - d1))) <= max(qmat.tolerance(), 1e-10)
+    return float(np.max(np.abs(d0 - d1))) <= qmat.tolerance()
 
 
 def no_signaling_trial(state: BipartiteState, local_op: KrausChannel) -> float:

@@ -7,8 +7,8 @@ of basis vectors are stored as rows of a 2-D array.
 The kernels `dagger`, `kron_pairs`, `partial_trace`, `marginal_b_after`
 and `eigh`, and the check `require_orthonormal_rows`, also take a stack of
 operators: they work over the last two axes, and a 2-D operator is a stack
-of one; `sample_index` takes a stack of weight rows over the last axis
-and draws them from one generator as it would draw the rows one by one.
+of one; `sample_index` takes a stack of weight rows, of any depth, and
+draws them from one generator as it would draw the rows one by one.
 The public validators (`as_complex_matrix`, `require_hermitian`,
 `require_density`) take one 2-D matrix. Every check is written once, over
 the last two axes, and run by the one runner `_require_members`, which
@@ -432,22 +432,23 @@ def require_orthonormal_basis(basis) -> np.ndarray:
 def sample_index(weights, source) -> int | np.ndarray:
     """Index drawn from one `source.random()`, with probability ∝ `weights`: finite, each ≥ -τ, of positive sum.
 
-    `source` is a numpy `Generator`. Over the last axis: a (T, n) stack of
-    weights draws row t with the t-th of one `source.random(T)`, which equals
-    T successive `source.random()` calls, so a stack draws as its rows would
-    one by one. The stack is checked as one, and a failing row is named as
-    "stack member k".
+    `source` is a numpy `Generator`. Over the last axis: a stack of T rows, of
+    any shape (..., n), draws them in C order with the T values of one
+    `source.random(shape[:-1])`, which equal T successive `source.random()`
+    calls, so a stack draws as its rows would one by one. The stack is checked
+    as one, and a failing row is named by its flat index as "stack member k".
     """
     weights = np.asarray(weights, dtype=float)
     single = weights.ndim == 1
     total = weights.sum(axis=-1)
     # pass-tests, so that NaN fails them; an empty row fails on its sum
     ok = (0.0 < total) & (total < np.inf) & (weights.min(axis=-1, initial=np.inf) >= -tolerance())
-    if not (ok if single else np.count_nonzero(ok) == len(ok)):  # a numpy bool tests faster than ok.all()
+    if not (ok if single else np.count_nonzero(ok) == ok.size):  # a numpy bool tests faster than ok.all()
         k = () if single else int(np.argmin(ok))
-        message = f"weights must be finite, at least -τ and of positive sum, got {weights[k].tolist()}"
+        row = weights if single else weights.reshape(-1, weights.shape[-1])[k]
+        message = f"weights must be finite, at least -τ and of positive sum, got {row.tolist()}"
         raise ValueError(message if single else f"stack member {k}: {message}")
-    draws = source.random() if single else source.random(len(weights))
+    draws = source.random() if single else source.random(weights.shape[:-1])
     # the number of cumulative weights at or below the draw: a search, side="right", of each row
     index = (weights.cumsum(axis=-1) <= (draws * total)[..., None]).sum(axis=-1)
     return min(int(index), weights.size - 1) if single else np.minimum(index, weights.shape[-1] - 1)

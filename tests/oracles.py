@@ -351,7 +351,7 @@ def pure_vector_by_member(rho) -> np.ndarray:
     """The per-matrix `pure_vector` that the stacked extraction replaced."""
     rho = qmat.require_density(rho)
     w, v = qmat.eigh(rho)
-    if abs(float(w[0]) - 1.0) > max(qmat.tolerance(), 1e-8):
+    if abs(float(w[0]) - 1.0) > qmat.tolerance():
         raise ValueError(f"state is not pure: top eigenvalue {float(w[0])}")
     return v[:, 0]
 

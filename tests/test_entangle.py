@@ -232,8 +232,8 @@ def test_hjw_rejects_average_mismatch():
 
 def test_hjw_rejects_target_outside_support():
     # marginal is |0><0|; a vanishing-weight |1> member passes the average
-    # check but sits outside the support
-    eps = 1e-8
+    # check (off by sqrt(2)·eps, below τ = 1e-9) but sits outside the support
+    eps = 5e-10
     psi = np.kron([1, 0], [1, 0])
     target = Ensemble.from_pure_states([1 - eps, eps], [[1, 0], [0, 1]])
     with pytest.raises(UnsupportedTargetError, match=r"^target member 1 lies outside the marginal support") as got:

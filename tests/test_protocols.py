@@ -22,6 +22,8 @@ from qworlds.entangle import (
     BipartiteState,
     Ensemble,
     epr_singlet,
+    hjw_steering_measurement,
+    pure_vector,
     purify,
     steered_branches,
 )
@@ -260,6 +262,56 @@ def test_concealment_check_examples():
     gap = qmat.frobenius_distance(biased.ensemble_0.average(), biased.ensemble_1.average())
     assert not check.concealed
     assert check.distance == pytest.approx(gap, abs=1e-12)
+
+
+def _point_weights(p0: float) -> Ensemble:
+    return Ensemble(np.array([p0, 1.0 - p0]), (np.diag([1.0, 0]).astype(complex), np.diag([0, 1.0]).astype(complex)))
+
+
+# each case misses by more than its τ, and by less than a fixed floor under τ would let through
+_MISSES_BELOW_A_FORMER_FLOOR = {
+    "purity": (1e-9, lambda: pure_vector(np.diag([1 - 5e-9, 5e-9])), r"^state is not pure"),
+    "average": (
+        1e-9,
+        lambda: hjw_steering_measurement(
+            purify(np.eye(2) / 2, 2), (2, 2), Ensemble.from_pure_states([0.5 + 5e-9, 0.5 - 5e-9], [[1, 0], [0, 1]])
+        ),
+        r"^target ensemble average deviates from the B marginal",
+    ),
+    "hjw_support": (
+        1e-12,
+        lambda: hjw_steering_measurement(
+            np.kron([1, 0], [1, 0]),
+            (2, 2),
+            Ensemble.from_pure_states([1 - 1e-8, 1e-8], [[1, 0], [np.sqrt(1 - 1e-10), np.sqrt(1e-10)]]),
+        ),
+        r"^target member 1 lies outside the marginal support",
+    ),
+    "point_mass": (
+        1e-12,
+        lambda: point_mass_distribution(Ensemble(np.ones(1), np.diag([1 - 1e-10, 1e-10])[None]), BlockAlgebra((1, 1))),
+        r"^ensemble member is not a point mass",
+    ),
+    "unique_decomposition": (
+        1e-12,
+        lambda: classical_unique_decomposition(_point_weights(0.5 + 5e-11), _point_weights(0.5), BlockAlgebra((1, 1))),
+        None,
+    ),
+    "ensemble_sum": (1e-15, lambda: Ensemble(np.full(1000, (1 + 1e-13) / 1000), np.ones((1000, 1, 1))), r"^probabilities sum to"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISSES_BELOW_A_FORMER_FLOOR))
+def test_a_check_that_once_had_a_fixed_floor_follows_tolerance_alone(case):
+    tol, check, rejection = _MISSES_BELOW_A_FORMER_FLOOR[case]
+    with scoped_tolerance(1e-6):
+        assert check() is not False  # accepted at a τ above the miss
+    with scoped_tolerance(tol):
+        if rejection is None:
+            assert check() is False
+        else:
+            with pytest.raises(ValueError, match=rejection):
+                check()
 
 
 def test_classical_unique_decomposition_on_equal_averages():

@@ -220,15 +220,18 @@ def test_sample_index_draws_by_weight_from_one_random_number():
         assert qmat.sample_index(weights, SimpleNamespace(random=lambda: u)) == index
 
 
-def test_sample_index_draws_each_row_of_a_stack_as_it_draws_the_row_alone():
-    weights = np.random.default_rng(5).random((300, 4))
-    weights[::3, 1] = 0.0
+@pytest.mark.parametrize("shape, row, member", [((300, 4), (7,), 7), ((2, 3, 4), (1, 2), 5)], ids=["2d", "3d"])
+def test_sample_index_draws_each_row_of_a_stack_as_it_draws_the_row_alone(shape, row, member):
+    weights = np.random.default_rng(5).random(shape)
+    rows = weights.reshape(-1, 4)  # a view: the rows in C order, which a stack of any depth draws in
+    rows[::3, 1] = 0.0
     rng, twin = np.random.default_rng(6), np.random.default_rng(6)
     got = qmat.sample_index(weights, rng)
-    assert got.tolist() == [qmat.sample_index(w, twin) for w in weights]
+    assert got.shape == shape[:-1]
+    assert got.reshape(-1).tolist() == [qmat.sample_index(w, twin) for w in rows]
     assert rng.bit_generator.state == twin.bit_generator.state  # one draw per row, in row order
-    weights[7, 2] = np.nan  # one check covers the stack, before any draw
-    with pytest.raises(ValueError, match=r"^stack member 7: weights must be finite, at least -τ and of positive sum"):
+    weights[row + (2,)] = np.nan  # one check covers the stack, before any draw, and names the row's flat index
+    with pytest.raises(ValueError, match=rf"^stack member {member}: weights must be finite, at least -τ and of positive sum"):
         qmat.sample_index(weights, None)
 
 
